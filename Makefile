@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-build bench-shard bench-cluster bench-load bench-prune bench-serve benchall vet fmt lint figlint figures examples clean
+.PHONY: all build test race bench benchall vet fmt lint figlint figures examples clean
 
 all: build lint test
 
@@ -15,61 +15,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Query-path benchmarks: the retrieval microbenches plus the serving-path
-# measurement appended to the tracked baseline file (see "Query-path
-# performance baseline" in EXPERIMENTS.md). The -perfgate flag fails the
-# run if serial search throughput regresses more than 5% vs the previous
-# recorded run.
-bench: bench-build bench-shard bench-cluster bench-load bench-serve
+# The retrieval microbenches, then one run of the repo's gated benchmark
+# (BENCHMARK.json, bench/README.md) per workload: the real serving stack
+# over loopback, 11 end-to-end metrics each.
+bench:
 	$(GO) test -bench='Search|CandidateSet' -benchmem ./internal/retrieval/...
-	$(GO) run ./cmd/figbench -perf BENCH_retrieval.json -scale 800 -queries 12 -seed 1 -perfgate 5
-
-# Build-path benchmarks: the bulk-weighting microbenches plus the offline
-# build measurement (vocabulary, thresholds, index, lambda) appended to the
-# tracked baseline file (see "Build-path performance baseline" in
-# EXPERIMENTS.md).
-bench-build:
-	$(GO) test -bench='CliqueWeight|TrainVocabulary' -benchmem ./internal/corr/... ./internal/vq/...
-	$(GO) run ./cmd/figbench -buildperf BENCH_build.json -scale 800 -trainqueries 12 -seed 1
-
-# Pruning-mode sweep: the query path at -scale 4000 once per pruning mode
-# (off / blockmax / blockmax-quantized) over one shared workload, each
-# appended to the tracked file as its own labelled run series so the
-# -perfgate baseline comparison stays like-vs-like (see "Top-k pruning" in
-# DESIGN.md). The -prunegate flag fails the sweep unless blockmax reaches
-# 1.5x off's serial TA throughput.
-bench-prune:
-	$(GO) run ./cmd/figbench -perf BENCH_retrieval.json -scale 4000 -queries 12 -seed 1 -perflabel prune-scale4000 -perfprune off,blockmax,blockmax-quantized -prunegate 1.5
-
-# Cold-start benchmark: index snapshot size and load wall time, legacy gob
-# vs serial/parallel binary segment, appended to the tracked baseline file
-# (see "Cold-start baseline" in EXPERIMENTS.md). The -loadgate flag fails
-# the run if the segment/parallel cold-start load time regresses more than
-# 10% vs the previous recorded run at the same scale.
-bench-load:
-	$(GO) run ./cmd/figbench -loadperf BENCH_load.json -scale 20000 -seed 1 -loadgate 10
-
-# Shard-scaling benchmark: scatter-gather Search at 1/2/4/NumCPU shards
-# against the single-engine baseline, appended to the tracked baseline file
-# (see "Sharded serving" in DESIGN.md).
-bench-shard:
-	$(GO) run ./cmd/figbench -shardperf BENCH_shard.json -scale 800 -queries 12 -seed 1
-
-# Multi-node serving benchmark: scatter-gather Search over in-process vs
-# loopback-HTTP backends against the single-engine baseline at a fixed
-# two-node scale, appended to the tracked baseline file (see "Multi-node
-# serving" in DESIGN.md).
-bench-cluster:
-	$(GO) run ./cmd/figbench -clusterperf BENCH_cluster.json -scale 800 -queries 12 -seed 1
-
-# Live-traffic serving benchmark: closed-loop capacity against a real
-# loopback figserver, then open-loop overload at 2x that capacity. Every
-# run must satisfy the overload contract — explicit 503 sheds, no other
-# failures, admitted p99 bounded — and the -servegate flag additionally
-# fails the run if capacity drops more than 15% vs the previous recorded
-# run at the same shape (see "Live-traffic serving" in DESIGN.md).
-bench-serve:
-	$(GO) run ./cmd/figbench -serveperf BENCH_serve.json -scale 800 -seed 1 -servegate 15
+	for w in uniq-4k uniq-8k hot-4k fleet-rw-4k; do bash bench/run.sh --workload $$w --seed 1 || exit 1; done
 
 # Every microbenchmark in the repo (slow; includes the ablation sweeps).
 benchall:

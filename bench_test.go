@@ -267,41 +267,16 @@ func BenchmarkAblationRecommendDecay(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCandidateCap sweeps the two-stage candidate cap: lower
-// caps bound query latency, trading a little precision.
-func BenchmarkAblationCandidateCap(b *testing.B) {
-	d, queries := ablationFixture(b)
-	for _, tc := range []struct {
-		name string
-		cap  int
-	}{{"cap=unlimited", 0}, {"cap=100", 100}, {"cap=25", 25}} {
-		b.Run(tc.name, func(b *testing.B) {
-			engine, err := retrieval.NewEngine(d.Model(), retrieval.Config{CandidateCap: tc.cap})
-			if err != nil {
-				b.Fatal(err)
-			}
-			measureSearch(b, d, queries, engine.Search)
-		})
-	}
-}
-
-// BenchmarkAblationPruning sweeps the block-max pruning modes over both
-// the full-scoring Search path and the Algorithm 1 TA path. The exact
-// modes must report identical P@10 (pruning is result-preserving with
-// quantization off); the quantized mode trades candidate selection for a
-// cheaper first pass, rescored exactly.
+// BenchmarkAblationPruning compares the eager and the block-max lazy
+// Threshold Algorithm merge on the Algorithm 1 TA path. Both must report
+// identical P@10 (pruning is result-preserving).
 func BenchmarkAblationPruning(b *testing.B) {
 	d, queries := ablationFixture(b)
-	for _, mode := range []retrieval.PruningMode{
-		retrieval.PruneOff, retrieval.PruneBlockMax, retrieval.PruneBlockMaxQuantized,
-	} {
+	for _, mode := range []retrieval.PruningMode{retrieval.PruneOff, retrieval.PruneBlockMax} {
 		engine, err := retrieval.NewEngine(d.Model(), retrieval.Config{Pruning: mode})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run("search/"+mode.String(), func(b *testing.B) {
-			measureSearch(b, d, queries, engine.Search)
-		})
 		b.Run("searchTA/"+mode.String(), func(b *testing.B) {
 			measureSearch(b, d, queries, engine.SearchTA)
 		})

@@ -16,12 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 	"strings"
 	"time"
 
 	"figfusion/internal/experiments"
-	"figfusion/internal/retrieval"
 )
 
 func main() {
@@ -34,21 +32,7 @@ func main() {
 		queries  = flag.Int("queries", 20, "evaluation queries (paper: 20)")
 		users    = flag.Int("users", 30, "evaluation users (paper: 279)")
 		seed     = flag.Int64("seed", 1, "seed")
-
-		perf      = flag.String("perf", "", "measure the retrieval query path and append the run to this JSON file (e.g. BENCH_retrieval.json); skips the figures")
-		buildPerf = flag.String("buildperf", "", "measure the offline build path (vocabulary, thresholds, index, lambda training) and append the run to this JSON file (e.g. BENCH_build.json); skips the figures")
-		shardPerf = flag.String("shardperf", "", "measure scatter-gather search throughput at 1/2/4/NumCPU shards against the single-engine baseline and append the run to this JSON file (e.g. BENCH_shard.json); skips the figures")
-		loadPerf  = flag.String("loadperf", "", "measure index snapshot size and cold-start load time (legacy gob vs serial/parallel segment) and append the run to this JSON file (e.g. BENCH_load.json); skips the figures")
-		clusPerf  = flag.String("clusterperf", "", "measure multi-node scatter-gather throughput (cluster over in-process vs loopback-HTTP backends vs the single-engine baseline) and append the run to this JSON file (e.g. BENCH_cluster.json); skips the figures")
-		servePerf = flag.String("serveperf", "", "measure live-traffic serving (closed-loop capacity, then open-loop overload at 2x capacity; sheds and admitted p99 must satisfy the overload contract) and append the run to this JSON file (e.g. BENCH_serve.json); skips the figures")
-		serveGate = flag.Float64("servegate", 0, "fail the -serveperf run if closed-loop capacity drops more than this percentage vs the previous recorded run at the same scale and admission settings (0 = contract check only)")
-		loadGate  = flag.Float64("loadgate", 0, "fail the -loadperf run if segment/parallel cold-start load time regresses more than this percentage vs the previous recorded run at the same scale (0 = record only)")
-		perfLabel = flag.String("perflabel", "", "label recorded with the -perf/-buildperf run (default: go version + GOMAXPROCS)")
-		perfCap   = flag.Int("perfcap", 0, "CandidateCap for the -perf engine (0 = uncapped)")
-		perfGate  = flag.Float64("perfgate", 0, "fail the -perf run if search/serial queries/sec drops more than this percentage below the previous recorded run of the same workload shape (0 = record only)")
-		perfPrune = flag.String("perfprune", "", "comma-separated pruning modes (off,blockmax,blockmax-quantized) to sweep over one shared workload with -perf, recording one labelled run per mode")
-		pruneGate = flag.Float64("prunegate", 0, "with -perfprune: fail unless blockmax searchTA/serial reaches this multiple of off's queries/sec (0 = record only)")
-		trainQ    = flag.Int("trainqueries", 20, "training queries for the lambda coordinate ascent (paper: 20)")
+		trainQ   = flag.Int("trainqueries", 20, "training queries for the lambda coordinate ascent (paper: 20)")
 	)
 	flag.Parse()
 
@@ -59,50 +43,6 @@ func main() {
 	opts.TrainQueries = *trainQ
 	opts.RecUsers = *users
 	opts.Seed = *seed
-
-	if *perf != "" || *buildPerf != "" || *shardPerf != "" || *loadPerf != "" || *clusPerf != "" || *servePerf != "" {
-		label := *perfLabel
-		if label == "" {
-			label = fmt.Sprintf("%s GOMAXPROCS=%d", runtime.Version(), runtime.GOMAXPROCS(0))
-		}
-		if *perf != "" && *perfPrune != "" {
-			if err := runPrunePerf(*perf, label, opts, *perfCap, *perfPrune, *pruneGate); err != nil {
-				log.Fatalf("perfprune: %v", err)
-			}
-		} else if *perf != "" {
-			// The tracked baseline series measures the unpruned engine;
-			// pruning-mode series are recorded via -perfprune.
-			if err := runPerf(*perf, label, opts, *perfCap, *perfGate, retrieval.PruneOff); err != nil {
-				log.Fatalf("perf: %v", err)
-			}
-		}
-		if *buildPerf != "" {
-			if err := runBuildPerf(*buildPerf, label, opts); err != nil {
-				log.Fatalf("buildperf: %v", err)
-			}
-		}
-		if *shardPerf != "" {
-			if err := runShardPerf(*shardPerf, label, opts); err != nil {
-				log.Fatalf("shardperf: %v", err)
-			}
-		}
-		if *loadPerf != "" {
-			if err := runLoadPerf(*loadPerf, label, opts, *loadGate); err != nil {
-				log.Fatalf("loadperf: %v", err)
-			}
-		}
-		if *clusPerf != "" {
-			if err := runClusterPerf(*clusPerf, label, opts); err != nil {
-				log.Fatalf("clusterperf: %v", err)
-			}
-		}
-		if *servePerf != "" {
-			if err := runServePerf(*servePerf, label, opts, *serveGate); err != nil {
-				log.Fatalf("serveperf: %v", err)
-			}
-		}
-		return
-	}
 
 	type driver struct {
 		id  string

@@ -211,10 +211,8 @@ func inspectSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %s snapshot, %d bytes\n", path, info.Format, info.Bytes)
-	if info.Format == "segment" {
-		fmt.Printf("  version %d, saved at generation %d, header crc %08x\n", info.Version, info.Generation, info.HeaderCRC)
-	}
+	fmt.Printf("%s: segment snapshot, %d bytes\n", path, info.Bytes)
+	fmt.Printf("  version %d, saved at generation %d, header crc %08x\n", info.Version, info.Generation, info.HeaderCRC)
 	fmt.Printf("  %d entries (%d fresh), %d features, %d postings, %d blocks\n",
 		info.Entries, info.Fresh, info.Feats, info.Postings, info.Blocks)
 	for _, s := range info.Sections {

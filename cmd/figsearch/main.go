@@ -44,7 +44,6 @@ func main() {
 		text    = flag.String("text", "", "free-text query (overrides -query)")
 		k       = flag.Int("k", 10, "results to return")
 		scan    = flag.Bool("scan", false, "use the sequential scan instead of the clique index")
-		prune   = flag.String("pruning", retrieval.PruneBlockMax.String(), "top-k pruning mode: off, blockmax (exact), or blockmax-quantized")
 		server  = flag.String("server", "", "query a running figserver at this address instead of a local engine")
 		timeout = flag.Duration("timeout", 10*time.Second, "request timeout in -server mode")
 	)
@@ -55,10 +54,6 @@ func main() {
 		}
 		return
 	}
-	pruning, err := retrieval.ParsePruningMode(*prune)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	d, err := loadOrGenerate(*data, *objects, *seed)
 	if err != nil {
@@ -66,7 +61,7 @@ func main() {
 	}
 	model := d.Model()
 	model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(*seed+13)))
-	engine, err := retrieval.NewEngine(model, retrieval.Config{SkipIndex: *scan, Pruning: pruning})
+	engine, err := retrieval.NewEngine(model, retrieval.Config{SkipIndex: *scan, Pruning: retrieval.PruneBlockMax})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,9 +32,6 @@
 //	curl 'localhost:8080/v1/healthz'
 //	curl 'localhost:8080/v1/metrics'
 //	curl -XPOST localhost:8080/v1/objects -d '{"tags":["sunset","beach"],"month":5}'
-//
-// The pre-v1 unversioned routes still answer but are deprecated; see the
-// server package docs.
 package main
 
 import (
@@ -87,11 +84,7 @@ func main() {
 	}
 	model := d.Model()
 	model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(opts.Seed+13)))
-	pruning, err := opts.PruningMode()
-	if err != nil {
-		log.Fatal(err) // unreachable after Validate; kept for direct callers
-	}
-	retrievalCfg := retrieval.Config{Workers: opts.Workers, CandidateCap: opts.CandidateCap, Pruning: pruning}
+	retrievalCfg := retrieval.Config{Workers: opts.Workers, Pruning: retrieval.PruneBlockMax}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -194,12 +187,9 @@ func main() {
 					log.Fatal(lerr)
 				}
 				engineCfg.Index = prebuilt
-				if ls := prebuilt.LoadStats(); ls != nil {
-					log.Printf("loaded index: %d cliques (%s snapshot, %d bytes, %.1f ms, %d loader worker(s))",
-						prebuilt.NumCliques(), ls.Format, ls.Bytes, ls.WallMillis, ls.Workers)
-				} else {
-					log.Printf("loaded index: %d cliques", prebuilt.NumCliques())
-				}
+				ls := prebuilt.LoadStats()
+				log.Printf("loaded index: %d cliques (%d bytes, %.1f ms, %d loader worker(s))",
+					prebuilt.NumCliques(), ls.Bytes, ls.WallMillis, ls.Workers)
 			}
 			engine, eerr := retrieval.NewEngine(model, engineCfg)
 			if eerr != nil {

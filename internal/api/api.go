@@ -12,7 +12,7 @@
 //
 // with one of the Code* constants below. Statuses map conventionally
 // (StatusFor): invalid_argument → 400, not_found → 404,
-// method_not_allowed → 405, conflict → 409, gone → 410, unavailable → 503,
+// method_not_allowed → 405, conflict → 409, unavailable → 503,
 // deadline_exceeded → 504.
 //
 // Header conventions:
@@ -21,8 +21,6 @@
 //     feature the deployment cannot serve — sets Retry-After (delay
 //     seconds), so clients back off an amount the server chose rather than
 //     guessing.
-//   - Deprecated route aliases set "Deprecation: true" when served at all;
-//     by default they answer 410/gone instead (server.Options.LegacyRoutes).
 package api
 
 import "net/http"
@@ -41,9 +39,6 @@ const (
 	// match the node's corpus size — the divergence signal of multi-node
 	// replication.
 	CodeConflict = "conflict"
-	// CodeGone (410) answers a retired route: the unversioned pre-v1
-	// aliases once their deprecation window closes.
-	CodeGone = "gone"
 	// CodeUnavailable (503) answers work the deployment cannot take on
 	// right now: admission control shed it, every cluster node is out, or
 	// the feature is disabled. The response always carries Retry-After.
@@ -57,9 +52,6 @@ const (
 // carries: an integral number of seconds the client should wait before
 // retrying. internal/client honours it.
 const RetryAfterHeader = "Retry-After"
-
-// DeprecationHeader flags a response served from a deprecated route alias.
-const DeprecationHeader = "Deprecation"
 
 // ErrorBody is the envelope's inner object.
 type ErrorBody struct {
@@ -85,8 +77,6 @@ func StatusFor(code string) int {
 		return http.StatusMethodNotAllowed
 	case CodeConflict:
 		return http.StatusConflict
-	case CodeGone:
-		return http.StatusGone
 	case CodeUnavailable:
 		return http.StatusServiceUnavailable
 	case CodeDeadlineExceeded:

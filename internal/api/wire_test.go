@@ -143,7 +143,6 @@ func TestErrorCodeStatuses(t *testing.T) {
 		api.CodeNotFound:         http.StatusNotFound,
 		api.CodeMethodNotAllowed: http.StatusMethodNotAllowed,
 		api.CodeConflict:         http.StatusConflict,
-		api.CodeGone:             http.StatusGone,
 		api.CodeUnavailable:      http.StatusServiceUnavailable,
 		api.CodeDeadlineExceeded: http.StatusGatewayTimeout,
 	}

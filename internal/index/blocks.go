@@ -18,10 +18,9 @@ import (
 // more than the extra skipped potentials save.
 const BlockLen = 64
 
-// Block is one run's summary in row form — the shape the legacy gob wire
-// format persists and the tests assemble expectations in. In memory the
-// summaries are stored columnar (see BlockSlice); Block exists at the
-// boundaries where a whole row is handled at once.
+// Block is one run's summary in row form — the shape the tests assemble
+// expectations in. In memory the summaries are stored columnar (see
+// BlockSlice).
 type Block struct {
 	MinID media.ObjectID
 	MaxID media.ObjectID
@@ -62,42 +61,10 @@ type BlockSlice struct {
 // Len returns the number of blocks in the view.
 func (b BlockSlice) Len() int { return len(b.MinID) }
 
-// Block assembles row i of the view — the boundary helper for the gob wire
-// format and tests; hot paths read the columns directly.
+// Block assembles row i of the view for tests; hot paths read the columns
+// directly.
 func (b BlockSlice) Block(i int) Block {
 	return Block{MinID: b.MinID[i], MaxID: b.MaxID[i], MaxSF: b.MaxSF[i], MaxSM: b.MaxSM[i], MinSM: b.MinSM[i]}
-}
-
-// blockSliceOf builds an owned columnar view from row form (the legacy gob
-// decode path), backed by two allocations regardless of block count.
-func blockSliceOf(rows []Block) BlockSlice {
-	n := len(rows)
-	if n == 0 {
-		return BlockSlice{}
-	}
-	ids := make([]media.ObjectID, 2*n)
-	fs := make([]float64, 3*n)
-	b := BlockSlice{
-		MinID: ids[:n:n], MaxID: ids[n : 2*n : 2*n],
-		MaxSF: fs[:n:n], MaxSM: fs[n : 2*n : 2*n], MinSM: fs[2*n : 3*n : 3*n],
-	}
-	for i, r := range rows {
-		b.MinID[i], b.MaxID[i] = r.MinID, r.MaxID
-		b.MaxSF[i], b.MaxSM[i], b.MinSM[i] = r.MaxSF, r.MaxSM, r.MinSM
-	}
-	return b
-}
-
-// rows converts the view back to row form (the legacy gob encode path).
-func (b BlockSlice) rows() []Block {
-	if b.Len() == 0 {
-		return nil
-	}
-	out := make([]Block, b.Len())
-	for i := range out {
-		out[i] = b.Block(i)
-	}
-	return out
 }
 
 // BlocksAt returns the entry's block summaries if they were computed at
@@ -105,7 +72,7 @@ func (b BlockSlice) rows() []Block {
 // Both components depend on corpus-global state (object totals and the
 // correlation tables), so after an Insert the blocks of untouched entries
 // describe a corpus that no longer exists; serving them would silently
-// break the admission bound, the same failure class as the stale-weight
+// break the block bound, the same failure class as the stale-weight
 // bug the generation stamps were introduced for.
 func (e *Entry) BlocksAt(gen uint64) (BlockSlice, bool) {
 	if e.corsGen != gen || e.blocks.Len() == 0 {

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"figfusion/internal/corr"
@@ -155,48 +154,11 @@ func TestBlocksSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyStreamWithoutBlocks: files written before the Blocks field
-// existed decode into entries with no summaries, which BlocksAt reports as
-// unprunable rather than failing — old snapshots keep loading and simply
-// search unpruned.
-func TestLoadLegacyStreamWithoutBlocks(t *testing.T) {
-	type legacyEntry struct {
-		Feats   []media.FID
-		CorS    float64
-		Objects []media.ObjectID
-		Fresh   bool
-	}
-	rows := []legacyEntry{
-		{Feats: []media.FID{1}, CorS: 0.5, Objects: []media.ObjectID{0, 3, 7}, Fresh: true},
-		{Feats: []media.FID{1, 2}, CorS: 0.25, Objects: []media.ObjectID{3}, Fresh: false},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("legacy stream rejected: %v", err)
-	}
-	for _, row := range rows {
-		e, ok := inv.Lookup(fig.Clique{Feats: row.Feats})
-		if !ok {
-			t.Fatalf("clique %v missing", row.Feats)
-		}
-		if e.CorS != row.CorS || len(e.Objects) != len(row.Objects) {
-			t.Fatalf("entry %v corrupted by legacy decode", row.Feats)
-		}
-		if _, ok := e.BlocksAt(0); ok {
-			t.Fatalf("entry %v: legacy entry served blocks it cannot have", row.Feats)
-		}
-	}
-}
-
-// TestInsertRefreshesBlocks pins the freshness half of the admission
-// bound's correctness: every Insert recomputes the summaries of the
-// entries it touches (stamping them at the new generation) and leaves
-// untouched entries' summaries stale — BlocksAt must refuse those, since
-// they describe pre-insert corpus statistics.
+// TestInsertRefreshesBlocks pins the freshness half of the block bound's
+// correctness: every Insert recomputes the summaries of the entries it
+// touches (stamping them at the new generation) and leaves untouched
+// entries' summaries stale — BlocksAt must refuse those, since they
+// describe pre-insert corpus statistics.
 func TestInsertRefreshesBlocks(t *testing.T) {
 	c, m := blockWorld(t)
 	inv := Build(m, fig.Options{}, fig.EnumerateOptions{MaxFeatures: 3})

@@ -1,39 +1,12 @@
 package index
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
-	"figfusion/internal/fig"
-	"figfusion/internal/media"
 	"figfusion/internal/par"
 )
-
-// wireEntry is the gob form of one inverted-list row — the legacy snapshot
-// format, kept so snapshots written before the binary segment format still
-// load (read-only: Save always writes segments now). Fresh records whether
-// the row's CorS matched the corpus statistics when the index was saved:
-// an index that received Inserts carries entries whose stored weights
-// predate the grown corpus, and Load must not resurrect those as
-// authoritative. (Files written before the field existed decode with
-// Fresh == false, which errs on the safe side: the indexed paths fall
-// back to the scorer instead of serving a possibly diverged weight.)
-type wireEntry struct {
-	Feats   []media.FID
-	CorS    float64
-	Objects []media.ObjectID
-	Fresh   bool
-	// Blocks are the block-max summaries (blocks.go). Added after the
-	// field set above shipped: gob decodes files written without it into
-	// a nil slice, and BlocksAt treats an entry with no blocks as
-	// unprunable — old snapshots load fine and simply search unpruned
-	// until the next Build or Insert refreshes them.
-	Blocks []Block
-}
 
 // Save writes the index to w in the binary segment format (segment.go).
 // Combined with the dataset's own Save, a deployment can persist
@@ -58,25 +31,10 @@ func (inv *Inverted) SaveAt(w io.Writer, gen uint64) error {
 	return inv.writeSegment(w, gen)
 }
 
-// SaveLegacyGob writes the pre-segment gob snapshot format, in clique-key
-// order with the same freshness semantics as SaveAt. It exists for the
-// cold-start benchmark's baseline and for producing compatibility
-// fixtures; deployments should not write new gob snapshots.
-func (inv *Inverted) SaveLegacyGob(w io.Writer, gen uint64) error {
-	keys := inv.sortedKeys()
-	rows := make([]wireEntry, 0, len(keys))
-	for _, k := range keys {
-		e := inv.entries[k]
-		rows = append(rows, wireEntry{Feats: e.Feats, CorS: e.CorS, Objects: e.Objects, Fresh: e.corsGen == gen, Blocks: e.blocks.rows()})
-	}
-	return gob.NewEncoder(w).Encode(rows)
-}
-
 // LoadStats records how an index was brought into memory, for the
 // cold-start benchmark and the obs load gauges. Nil on built (not loaded)
 // indexes.
 type LoadStats struct {
-	Format     string  // "segment" or "gob"
 	Bytes      int64   // snapshot size
 	WallMillis float64 // wall time of the load
 	Workers    int     // resolved loader fan-out
@@ -87,16 +45,16 @@ func (inv *Inverted) LoadStats() *LoadStats {
 	return inv.loadStats
 }
 
-// Load reads an index written by Save (either format; see LoadWorkers).
+// Load reads an index written by Save (see LoadWorkers).
 func Load(r io.Reader) (*Inverted, error) {
 	return LoadWorkers(r, 0)
 }
 
-// LoadWorkers reads an index snapshot, auto-detecting the format by magic:
-// binary segment files (the only format Save writes) decode through the
-// parallel segment loader with the given fan-out (0 = NumCPU, 1 = serial);
-// anything else is treated as a legacy gob snapshot and decoded serially.
-// The result is independent of the worker count.
+// LoadWorkers reads a binary segment snapshot (the format Save writes)
+// through the parallel segment loader with the given fan-out (0 = NumCPU,
+// 1 = serial); the result is independent of the worker count. Input that
+// does not start with the segment magic is rejected before anything is
+// decoded.
 //
 // The FID space must match the corpus the index was built over; Load
 // cannot verify that, so pair index files with their dataset files.
@@ -111,20 +69,11 @@ func LoadWorkers(r io.Reader, workers int) (*Inverted, error) {
 		return nil, fmt.Errorf("index: read snapshot: %w", err)
 	}
 	start := time.Now()
-	var inv *Inverted
-	format := "segment"
-	if isSegment(data) {
-		if inv, err = readSegment(data, workers); err != nil {
-			return nil, err
-		}
-	} else {
-		format = "gob"
-		if inv, err = loadLegacyGob(data); err != nil {
-			return nil, err
-		}
+	inv, err := readSegment(data, workers)
+	if err != nil {
+		return nil, err
 	}
 	inv.loadStats = &LoadStats{
-		Format:     format,
 		Bytes:      int64(len(data)),
 		WallMillis: float64(time.Since(start)) / float64(time.Millisecond),
 		Workers:    par.Workers(workers, len(inv.entries)),
@@ -132,59 +81,13 @@ func LoadWorkers(r io.Reader, workers int) (*Inverted, error) {
 	return inv, nil
 }
 
-func isSegment(data []byte) bool {
-	return len(data) >= 4 && string(data[:4]) == segMagic
-}
-
-// loadLegacyGob decodes the pre-segment gob snapshot format and seals the
-// result into the arena layout, so a legacy load serves through exactly
-// the same memory shape as a segment load.
-func loadLegacyGob(data []byte) (*Inverted, error) {
-	var rows []wireEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rows); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
-	}
-	inv := &Inverted{entries: make(map[string]*Entry, len(rows))}
-	for i := range rows {
-		row := rows[i]
-		gen := uint64(staleGen)
-		if row.Fresh {
-			gen = 0
-		}
-		inv.entries[fig.KeyOf(row.Feats)] = &Entry{Feats: row.Feats, CorS: row.CorS, Objects: row.Objects, blocks: blockSliceOf(row.Blocks), corsGen: gen}
-	}
-	keys := make([]string, 0, len(inv.entries))
-	for k := range inv.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	inv.seal(keys)
-	return inv, nil
-}
-
-// InspectSnapshot summarises a snapshot in either format without building
-// a servable index: header fields, entry/posting/block totals, and — for
-// segment files — per-section sizes and checksum status.
+// InspectSnapshot summarises a segment snapshot without building a
+// servable index: header fields, entry/posting/block totals, per-section
+// sizes and checksum status.
 func InspectSnapshot(r io.Reader) (*SnapshotInfo, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("index: read snapshot: %w", err)
 	}
-	if isSegment(data) {
-		return inspectSegment(data)
-	}
-	var rows []wireEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rows); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
-	}
-	info := &SnapshotInfo{Format: "gob", Bytes: int64(len(data)), Entries: len(rows)}
-	for i := range rows {
-		info.Feats += int64(len(rows[i].Feats))
-		info.Postings += int64(len(rows[i].Objects))
-		info.Blocks += int64(len(rows[i].Blocks))
-		if rows[i].Fresh {
-			info.Fresh++
-		}
-	}
-	return info, nil
+	return inspectSegment(data)
 }

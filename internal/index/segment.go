@@ -330,11 +330,13 @@ func (l *segLayout) section(data []byte, i int) []byte {
 // parseSegLayout validates everything outside the section payloads: magic,
 // version, directory shape and contiguity, and the header checksum.
 func parseSegLayout(data []byte) (*segLayout, error) {
+	// Magic first: bytes this loader does not own are refused by name
+	// before any length or field of theirs is interpreted.
+	if head := data[:min(len(data), len(segMagic))]; string(head) != segMagic {
+		return nil, segErrf("not an %s segment: starts %q", segMagic, head)
+	}
 	if len(data) < segPayloadOff+segTrailerLen {
 		return nil, segErrf("truncated: %d bytes, need at least %d for header+trailer", len(data), segPayloadOff+segTrailerLen)
-	}
-	if string(data[:4]) != segMagic {
-		return nil, segErrf("bad magic %q", data[:4])
 	}
 	l := &segLayout{version: binary.LittleEndian.Uint32(data[4:])}
 	if l.version != segVersion {
@@ -650,20 +652,19 @@ type SectionInfo struct {
 	OK    bool // stored CRC matches the payload
 }
 
-// SnapshotInfo is what figdata -inspect prints: the header of either
-// snapshot format plus cheaply derivable totals.
+// SnapshotInfo is what figdata -inspect prints: the segment header plus
+// cheaply derivable totals.
 type SnapshotInfo struct {
-	Format     string // "segment" or "gob"
-	Version    uint32 // 0 for gob
-	Generation uint64 // save-time freshness authority (segment only)
+	Version    uint32
+	Generation uint64 // save-time freshness authority
 	Bytes      int64
 	Entries    int
 	Feats      int64
 	Postings   int64
 	Blocks     int64
-	Fresh      int           // entries persisted as fresh
-	Sections   []SectionInfo // segment only
-	HeaderCRC  uint32        // segment only
+	Fresh      int // entries persisted as fresh
+	Sections   []SectionInfo
+	HeaderCRC  uint32
 }
 
 // inspectSegment summarises a segment file without building the index:
@@ -679,7 +680,6 @@ func inspectSegment(data []byte) (*SnapshotInfo, error) {
 		return nil, err
 	}
 	info := &SnapshotInfo{
-		Format:     "segment",
 		Version:    l.version,
 		Generation: l.gen,
 		Bytes:      int64(len(data)),

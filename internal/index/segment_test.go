@@ -2,8 +2,8 @@ package index
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"encoding/gob"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -91,7 +91,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err := inv.SaveAt(&buf, gen); err != nil {
 		t.Fatal(err)
 	}
-	if !isSegment(buf.Bytes()) {
+	if !bytes.HasPrefix(buf.Bytes(), []byte(segMagic)) {
 		t.Fatal("Save did not write segment magic")
 	}
 	for _, workers := range []int{1, 3, 8} {
@@ -189,8 +189,8 @@ func TestSegmentBitFlips(t *testing.T) {
 	}
 }
 
-// TestSegmentGarbage: structurally invalid inputs with a valid magic fail
-// descriptively rather than panicking or over-allocating.
+// TestSegmentGarbage: structurally invalid inputs, with a valid magic or
+// without, fail descriptively rather than panicking or over-allocating.
 func TestSegmentGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"magic only":   []byte(segMagic),
@@ -210,10 +210,48 @@ func TestSegmentGarbage(t *testing.T) {
 	for name, data := range cases {
 		wantSegmentError(t, data, name)
 	}
-	// And through the public entry point, with a bad magic falling back to
-	// the gob path: still an error, never a panic.
-	if _, err := Load(bytes.NewReader([]byte("NOTASEGMENTFILE"))); err == nil {
-		t.Fatal("garbage without segment magic loaded without error")
+
+	// Bytes the loader does not own — a well-formed snapshot in the retired
+	// gob format, and a segment magic with its last byte wrong — are refused
+	// by name at both public entry points before anything of theirs is
+	// decoded: the rejection allocates the error (plus, under -race, the
+	// detector's fixed overhead), never a buffer sized by the input.
+	type gobRow struct {
+		Feats   []media.FID
+		CorS    float64
+		Objects []media.ObjectID
+		Fresh   bool
+	}
+	rows := make([]gobRow, 500)
+	for i := range rows {
+		rows[i] = gobRow{Feats: []media.FID{media.FID(i)}, CorS: 0.5, Objects: make([]media.ObjectID, 64), Fresh: true}
+	}
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(rows); err != nil {
+		t.Fatal(err)
+	}
+	foreign := map[string][]byte{
+		"gob snapshot":     legacy.Bytes(),
+		"FSG + wrong byte": append([]byte("FSG2"), make([]byte, 1<<16)...),
+	}
+	for name, data := range foreign {
+		wantSegmentError(t, data, name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readSegment(data, 1)
+		runtime.ReadMemStats(&after)
+		if !strings.Contains(err.Error(), segMagic) {
+			t.Errorf("%s: error %q does not name the expected magic %s", name, err, segMagic)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(data))/2 {
+			t.Errorf("%s: rejection allocated %d bytes for a %d-byte input", name, got, len(data))
+		}
+		if _, err := Load(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), segMagic) {
+			t.Errorf("%s: Load = %v, want an error naming %s", name, err, segMagic)
+		}
+		if _, err := InspectSnapshot(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), segMagic) {
+			t.Errorf("%s: InspectSnapshot = %v, want an error naming %s", name, err, segMagic)
+		}
 	}
 }
 
@@ -224,7 +262,7 @@ func TestSegmentVersionGate(t *testing.T) {
 	wantSegmentError(t, data, "future version")
 }
 
-// TestLoadStatsRecorded: loads report format, size and fan-out.
+// TestLoadStatsRecorded: loads report size and fan-out.
 func TestLoadStatsRecorded(t *testing.T) {
 	inv, gen := buildWithStale(t)
 	var seg bytes.Buffer
@@ -236,34 +274,19 @@ func TestLoadStatsRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := got.LoadStats()
-	if st == nil || st.Format != "segment" || st.Bytes != int64(seg.Len()) || st.Workers != 2 {
+	if st == nil || st.Bytes != int64(seg.Len()) || st.Workers != 2 {
 		t.Fatalf("segment load stats = %+v", st)
-	}
-	var legacy bytes.Buffer
-	if err := inv.SaveLegacyGob(&legacy, gen); err != nil {
-		t.Fatal(err)
-	}
-	lg, err := Load(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := lg.LoadStats(); st == nil || st.Format != "gob" || st.Bytes != int64(legacy.Len()) {
-		t.Fatalf("legacy load stats = %+v", st)
 	}
 	if inv.LoadStats() != nil {
 		t.Fatal("built index reports load stats")
 	}
 }
 
-// TestInspectSnapshot: the inspector agrees with the index it summarizes,
-// in both formats.
+// TestInspectSnapshot: the inspector agrees with the index it summarizes.
 func TestInspectSnapshot(t *testing.T) {
 	inv, gen := buildWithStale(t)
-	var seg, legacy bytes.Buffer
+	var seg bytes.Buffer
 	if err := inv.SaveAt(&seg, gen); err != nil {
-		t.Fatal(err)
-	}
-	if err := inv.SaveLegacyGob(&legacy, gen); err != nil {
 		t.Fatal(err)
 	}
 	fresh := 0
@@ -276,7 +299,7 @@ func TestInspectSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si.Format != "segment" || si.Version != segVersion || si.Generation != gen {
+	if si.Version != segVersion || si.Generation != gen {
 		t.Fatalf("segment header = %+v", si)
 	}
 	if si.Entries != inv.NumCliques() || si.Postings != int64(inv.Postings()) || si.Fresh != fresh {
@@ -295,14 +318,6 @@ func TestInspectSnapshot(t *testing.T) {
 	}
 	if sum != si.Bytes {
 		t.Fatalf("sections+frame = %d bytes, file is %d", sum, si.Bytes)
-	}
-	gi, err := InspectSnapshot(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gi.Format != "gob" || gi.Entries != si.Entries || gi.Postings != si.Postings ||
-		gi.Blocks != si.Blocks || gi.Fresh != si.Fresh {
-		t.Fatalf("gob inspect %+v disagrees with segment inspect %+v", gi, si)
 	}
 	// The corrupted-section case still inspects, flagging the section.
 	data := append([]byte(nil), seg.Bytes()...)
@@ -342,41 +357,4 @@ func TestKeyEncoderParity(t *testing.T) {
 			t.Fatalf("KeyFeats inverse broken for %v", e.Feats)
 		}
 	}
-}
-
-// TestLegacyGobFixture: a committed pre-segment-format snapshot still
-// loads and matches a freshly built index over the same corpus. Regenerate
-// with FIG_REGEN_FIXTURE=1 go test ./internal/index -run LegacyGobFixture
-// (only needed if blockWorld or the legacy wire struct changes — the
-// point of the fixture is that the bytes on disk never have to).
-func TestLegacyGobFixture(t *testing.T) {
-	path := filepath.Join("testdata", "legacy_v1.gob")
-	_, m := blockWorld(t)
-	inv := Build(m, fig.Options{}, fig.EnumerateOptions{MaxFeatures: 3})
-	gen := m.Generation()
-	if os.Getenv("FIG_REGEN_FIXTURE") != "" {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := inv.SaveLegacyGob(&buf, gen); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d bytes)", path, buf.Len())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("legacy fixture rejected: %v", err)
-	}
-	if st := got.LoadStats(); st == nil || st.Format != "gob" {
-		t.Fatalf("fixture load stats = %+v, want gob", st)
-	}
-	entriesEqual(t, inv, got, gen, 0)
 }

@@ -108,7 +108,7 @@ func (s *Scorer) Compile(cliques []fig.Clique, weights []float64) *CliqueSet {
 func (cs *CliqueSet) Len() int { return len(cs.cliques) }
 
 // ScoringParams exposes the parameters this set was compiled against, so
-// the pruning layer can evaluate its admission bound with the same α the
+// the pruning layer can evaluate its block bounds with the same α the
 // potentials use.
 func (cs *CliqueSet) ScoringParams() Params { return cs.s.Params }
 

@@ -56,15 +56,12 @@ const (
 type QueryTrace struct {
 	Path       string
 	Candidates int
-	// Pruning effectiveness of the block-max layer: candidates the
-	// admission gate let through / skipped, and posting blocks the lazy
-	// TA merge never materialised. All zero when pruning is off.
-	PruneAdmitted int
-	PruneSkipped  int
-	PruneBlocks   int
-	Stages        [NumStages]time.Duration
-	Total         time.Duration
-	start         time.Time
+	// PruneBlocks counts posting blocks the lazy TA merge never
+	// materialised. Zero when pruning is off.
+	PruneBlocks int
+	Stages      [NumStages]time.Duration
+	Total       time.Duration
+	start       time.Time
 }
 
 // NewTrace starts a trace for one query on the given path.
@@ -89,18 +86,6 @@ func (t *QueryTrace) End(s Stage, start time.Time) {
 		return
 	}
 	t.Stages[s] += time.Since(start)
-}
-
-// AddPruneCandidates accrues admission-gate outcomes: candidates scored
-// versus skipped because their block-max bound could not reach the k-th
-// heap score. Accrues (rather than sets) so the quantized two-pass path
-// can report both passes.
-func (t *QueryTrace) AddPruneCandidates(admitted, skipped int) {
-	if t == nil {
-		return
-	}
-	t.PruneAdmitted += admitted
-	t.PruneSkipped += skipped
 }
 
 // AddPruneBlocks accrues posting blocks the lazy TA merge skipped —

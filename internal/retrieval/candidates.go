@@ -1,8 +1,6 @@
 package retrieval
 
 import (
-	"math"
-	"sort"
 	"sync"
 
 	"figfusion/internal/fig"
@@ -12,28 +10,15 @@ import (
 
 // candAccum is the per-query scratch state of candidate generation: the
 // query cliques' index entries, their posting-list cursors, and the merged
-// candidate IDs with shared-clique counts. Accumulators are pooled —
-// candidate generation runs once per query on the serving path, and the
-// maps this replaced were the query path's largest steady-state allocation.
+// candidate IDs. Accumulators are pooled — candidate generation runs once
+// per query on the serving path, and the maps this replaced were the query
+// path's largest steady-state allocation.
 type candAccum struct {
 	entries []*index.Entry
 	lists   [][]media.ObjectID
-	listEnt []int32 // listEnt[li] = index into entries for lists[li]
 	cursors []int
 	heap    []int32
 	ids     []media.ObjectID
-	counts  []int32
-	order   []int32
-	capped  []media.ObjectID
-
-	// Admission-gate state (nil/empty when pruning is off): per-entry
-	// block bound rows backed by ubBack, and the per-candidate bound
-	// aligned with ids (cappedB with capped).
-	ub      [][]float64
-	ubBack  []float64
-	bounds  []float64
-	cappedB []float64
-	usedCap bool
 }
 
 var accumPool = sync.Pool{New: func() interface{} { return new(candAccum) }}
@@ -42,9 +27,9 @@ func getAccum() *candAccum { return accumPool.Get().(*candAccum) }
 
 // maxPooledCands bounds the candidate-scaled capacity a pooled accumulator
 // may retain. The candidate slices grow with the query's posting-list
-// union, so one adversarially broad query (no CandidateCap) would
-// otherwise pin its peak allocation in the pool forever; slices beyond the
-// bound are released to the GC instead of being recycled.
+// union, so one adversarially broad query would otherwise pin its peak
+// allocation in the pool forever; slices beyond the bound are released to
+// the GC instead of being recycled.
 const maxPooledCands = 1 << 16
 
 func putAccum(a *candAccum) {
@@ -56,26 +41,14 @@ func putAccum(a *candAccum) {
 	for i := range a.lists {
 		a.lists[i] = nil
 	}
-	for i := range a.ub {
-		a.ub[i] = nil
-	}
 	a.entries = a.entries[:0]
 	a.lists = a.lists[:0]
-	a.listEnt = a.listEnt[:0]
 	a.cursors = a.cursors[:0]
 	a.heap = a.heap[:0]
-	a.ub = a.ub[:0]
-	a.ubBack = a.ubBack[:0]
 	if cap(a.ids) > maxPooledCands {
-		a.ids, a.counts, a.order, a.capped = nil, nil, nil, nil
-		a.bounds, a.cappedB = nil, nil
+		a.ids = nil
 	} else {
 		a.ids = a.ids[:0]
-		a.counts = a.counts[:0]
-		a.order = a.order[:0]
-		a.capped = a.capped[:0]
-		a.bounds = a.bounds[:0]
-		a.cappedB = a.cappedB[:0]
 	}
 	accumPool.Put(a)
 }
@@ -105,29 +78,16 @@ func (a *candAccum) add(entry *index.Entry, ok bool) {
 	a.entries = append(a.entries, entry)
 	if len(entry.Objects) > 0 {
 		a.lists = append(a.lists, entry.Objects)
-		a.listEnt = append(a.listEnt, int32(len(a.entries)-1))
 	}
 }
 
-// merge performs a multi-way count-merge over the sorted posting lists:
-// a min-heap over the list heads emits every distinct candidate in
-// ascending ID order together with the number of query cliques containing
-// it — the per-query count map this replaces allocated and hashed on
-// every posting, and a head-scan per candidate would be O(candidates ×
-// lists); the heap keeps it O(total postings × log lists). When the
-// candidate set exceeds the cap, candidates are pre-ranked by
-// shared-clique count (ties by ascending ID, as before) and truncated.
-// The returned slice is owned by the accumulator and valid until putAccum.
-//
-// ub, when non-nil, is the admissionBounds table: the merge then also
-// accumulates each candidate's block-max admission bound — the sum, over
-// the lists containing it, of the bound of the block its cursor sits in —
-// into a slice aligned with the returned candidates (a.bounds, or
-// a.cappedB when capped; read through candBounds). A candidate touching a
-// clique with a nil bound row gets +Inf: it can never be skipped. The
-// gate costs one slice read and one add per (candidate, containing list),
-// paid inside a merge that was already touching that state.
-func (a *candAccum) merge(exclude media.ObjectID, limit int, ub [][]float64) []media.ObjectID {
+// merge performs a multi-way merge over the sorted posting lists: a
+// min-heap over the list heads emits every distinct candidate once, in
+// ascending ID order — the per-query map this replaces allocated and hashed
+// on every posting, and a head-scan per candidate would be O(candidates ×
+// lists); the heap keeps it O(total postings × log lists). The returned
+// slice is owned by the accumulator and valid until putAccum.
+func (a *candAccum) merge(exclude media.ObjectID) []media.ObjectID {
 	if len(a.lists) == 0 {
 		return nil
 	}
@@ -147,22 +107,11 @@ func (a *candAccum) merge(exclude media.ObjectID, limit int, ub [][]float64) []m
 	}
 	for len(a.heap) > 0 {
 		min := a.head(a.heap[0])
-		var count int32
-		var bound float64
-		unbounded := false
 		// Drain every list whose head equals min: advance its cursor and
 		// restore the heap (or drop the list once exhausted).
 		for len(a.heap) > 0 && a.head(a.heap[0]) == min {
 			li := a.heap[0]
-			if ub != nil {
-				if row := ub[a.listEnt[li]]; row != nil {
-					bound += row[a.cursors[li]/index.BlockLen]
-				} else {
-					unbounded = true
-				}
-			}
 			a.cursors[li]++
-			count++
 			if a.cursors[li] < len(a.lists[li]) {
 				a.siftDown(0)
 			} else {
@@ -178,53 +127,8 @@ func (a *candAccum) merge(exclude media.ObjectID, limit int, ub [][]float64) []m
 			continue
 		}
 		a.ids = append(a.ids, min)
-		a.counts = append(a.counts, count)
-		if ub != nil {
-			if unbounded {
-				bound = math.Inf(1)
-			}
-			a.bounds = append(a.bounds, bound)
-		}
 	}
-	if limit <= 0 || len(a.ids) <= limit {
-		a.usedCap = false
-		return a.ids
-	}
-	a.usedCap = true
-	// Two-stage refinement: keep the cap candidates sharing the most
-	// query cliques. a.ids is ascending, so index order is ID order and
-	// the tie-break stays by ascending ID.
-	a.order = a.order[:0]
-	for i := range a.ids {
-		a.order = append(a.order, int32(i))
-	}
-	sort.Slice(a.order, func(x, y int) bool {
-		cx, cy := a.counts[a.order[x]], a.counts[a.order[y]]
-		if cx != cy {
-			return cx > cy
-		}
-		return a.order[x] < a.order[y]
-	})
-	a.capped = a.capped[:0]
-	a.cappedB = a.cappedB[:0]
-	for _, idx := range a.order[:limit] {
-		a.capped = append(a.capped, a.ids[idx])
-		if ub != nil {
-			a.cappedB = append(a.cappedB, a.bounds[idx])
-		}
-	}
-	return a.capped
-}
-
-// candBounds returns the admission bounds aligned with the candidate
-// slice the preceding merge returned — following the capped permutation
-// when the merge truncated. Only meaningful when that merge ran with a
-// non-nil ub table.
-func (a *candAccum) candBounds() []float64 {
-	if a.usedCap {
-		return a.cappedB
-	}
-	return a.bounds
+	return a.ids
 }
 
 // head returns the ObjectID at list li's cursor; only called for lists

@@ -33,17 +33,6 @@ func fullRunBytes(t *testing.T) []byte {
 		}
 		buf.WriteByte('\n')
 	}
-	// The two-stage refinement path: the capped candidate pre-rank
-	// (shared-clique count, ties by ID) must be as reproducible as the
-	// uncapped union.
-	capped := newEngine(t, d, Config{CandidateCap: 25})
-	for i := 0; i < 20; i++ {
-		q := d.Corpus.Object(media.ObjectID(i))
-		for _, it := range capped.Search(q, 10, q.ID) {
-			fmt.Fprintf(&buf, "%d!%d@%.17g ", q.ID, it.ID, it.Score)
-		}
-		buf.WriteByte('\n')
-	}
 	if e.Index != nil {
 		if err := e.Index.Save(&buf); err != nil {
 			t.Fatal(err)

@@ -13,8 +13,6 @@ const (
 	metricCandidatesScored = "retrieval.candidates.scored"
 	metricSearchLatency    = "retrieval.search.latency"
 	metricStagePrefix      = "retrieval.stage." // + prepare | gather | score | merge
-	metricPruneAdmitted    = "retrieval.prune.candidates.admitted"
-	metricPruneSkipped     = "retrieval.prune.candidates.skipped"
 	metricPruneBlocks      = "retrieval.prune.blocks.skipped"
 )
 
@@ -28,8 +26,6 @@ type queryMetrics struct {
 	pathTA     *obs.Counter
 	pathScan   *obs.Counter
 	candidates *obs.Counter
-	pruneAdm   *obs.Counter
-	pruneSkip  *obs.Counter
 	pruneBlk   *obs.Counter
 	stages     [obs.NumStages]*obs.Histogram
 	latency    *obs.Histogram
@@ -46,8 +42,6 @@ func newQueryMetrics(reg *obs.Registry, slow *obs.SlowLog) *queryMetrics {
 		pathTA:     reg.Counter(metricPathPrefix + obs.PathTA),
 		pathScan:   reg.Counter(metricPathPrefix + obs.PathScan),
 		candidates: reg.Counter(metricCandidatesScored),
-		pruneAdm:   reg.Counter(metricPruneAdmitted),
-		pruneSkip:  reg.Counter(metricPruneSkipped),
 		pruneBlk:   reg.Counter(metricPruneBlocks),
 		latency:    reg.Histogram(metricSearchLatency),
 		slow:       slow,
@@ -85,8 +79,6 @@ func (m *queryMetrics) finish(tr *obs.QueryTrace) {
 		m.pathScan.Inc()
 	}
 	m.candidates.Add(uint64(tr.Candidates))
-	m.pruneAdm.Add(uint64(tr.PruneAdmitted))
-	m.pruneSkip.Add(uint64(tr.PruneSkipped))
 	m.pruneBlk.Add(uint64(tr.PruneBlocks))
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
 		if d := tr.Stages[s]; d > 0 {

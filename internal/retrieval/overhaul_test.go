@@ -153,9 +153,9 @@ func TestEntryCorSMatchesScorer(t *testing.T) {
 
 // workerRunBytes serializes every search path's ranked IDs and scores for
 // one engine configuration.
-func workerRunBytes(t *testing.T, d *dataset.Dataset, workers, candidateCap int, pruning PruningMode) []byte {
+func workerRunBytes(t *testing.T, d *dataset.Dataset, workers int, pruning PruningMode) []byte {
 	t.Helper()
-	e := newEngine(t, d, Config{Workers: workers, CandidateCap: candidateCap, Pruning: pruning})
+	e := newEngine(t, d, Config{Workers: workers, Pruning: pruning})
 	var buf bytes.Buffer
 	for i := 0; i < 20; i++ {
 		q := d.Corpus.Object(media.ObjectID(i))
@@ -174,33 +174,25 @@ func workerRunBytes(t *testing.T, d *dataset.Dataset, workers, candidateCap int,
 }
 
 // TestSearchDeterministicAcrossWorkers: every search path must return
-// byte-identical rankings and scores at any scoring fan-out, with and
-// without the candidate cap, in every pruning mode — the partial top-k
-// merge under topk.Less's total order makes worker partitioning
-// unobservable, and the pruning layer's bounds are striping-independent.
-// The exact pruning mode must additionally match the unpruned bytes;
-// quantized mode is held to worker determinism only (its first pass
-// legitimately selects different rescoring candidates than exact merge).
+// byte-identical rankings and scores at any scoring fan-out, in both
+// pruning modes — the partial top-k merge under topk.Less's total order
+// makes worker partitioning unobservable, and the pruning layer's bounds
+// are striping-independent. The pruned mode must additionally match the
+// unpruned bytes.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	d := testData(t)
-	for _, candidateCap := range []int{0, 20} {
-		exact := workerRunBytes(t, d, 1, candidateCap, PruneOff)
-		for _, pruning := range []PruningMode{PruneOff, PruneBlockMax, PruneBlockMaxQuantized} {
-			base := workerRunBytes(t, d, 1, candidateCap, pruning)
-			if pruning != PruneBlockMaxQuantized && !bytes.Equal(base, exact) {
-				t.Fatalf("cap=%d pruning=%v: workers=1 diverges from unpruned", candidateCap, pruning)
-			}
-			for _, w := range []int{2, 4, runtime.NumCPU()} {
-				if got := workerRunBytes(t, d, w, candidateCap, pruning); !bytes.Equal(base, got) {
-					t.Fatalf("cap=%d pruning=%v: workers=%d diverges from workers=1", candidateCap, pruning, w)
-				}
+	exact := workerRunBytes(t, d, 1, PruneOff)
+	for _, pruning := range []PruningMode{PruneOff, PruneBlockMax} {
+		for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
+			if got := workerRunBytes(t, d, w, pruning); !bytes.Equal(exact, got) {
+				t.Fatalf("pruning=%v workers=%d diverges from unpruned workers=1", pruning, w)
 			}
 		}
 	}
 }
 
-// TestCandidateMergeMatchesMap cross-checks the multi-way count-merge
-// against a straightforward map-based union over the same posting lists.
+// TestCandidateMergeMatchesMap cross-checks the multi-way merge against a
+// straightforward map-based union over the same posting lists.
 func TestCandidateMergeMatchesMap(t *testing.T) {
 	d := testData(t)
 	e := newEngine(t, d, Config{})
@@ -209,9 +201,9 @@ func TestCandidateMergeMatchesMap(t *testing.T) {
 		cliques := e.QueryCliques(q)
 		acc := getAccum()
 		acc.lookup(e.Index, cliques)
-		got := acc.merge(q.ID, 0, nil)
+		got := acc.merge(q.ID)
 
-		counts := make(map[media.ObjectID]int)
+		union := make(map[media.ObjectID]bool)
 		for _, c := range cliques {
 			entry, ok := e.Index.Lookup(c)
 			if !ok {
@@ -219,21 +211,18 @@ func TestCandidateMergeMatchesMap(t *testing.T) {
 			}
 			for _, oid := range entry.Objects {
 				if oid != q.ID {
-					counts[oid]++
+					union[oid] = true
 				}
 			}
 		}
-		if len(got) != len(counts) {
-			t.Fatalf("query %d: merge found %d candidates, map %d", i, len(got), len(counts))
+		if len(got) != len(union) {
+			t.Fatalf("query %d: merge found %d candidates, map %d", i, len(got), len(union))
 		}
 		for j, oid := range got {
 			if j > 0 && got[j-1] >= oid {
 				t.Fatalf("query %d: candidates not strictly ascending at %d", i, j)
 			}
-			if int(acc.counts[j]) != counts[oid] {
-				t.Fatalf("query %d object %d: merge count %d, map count %d", i, oid, acc.counts[j], counts[oid])
-			}
-			if _, ok := counts[oid]; !ok {
+			if !union[oid] {
 				t.Fatalf("query %d: spurious candidate %d", i, oid)
 			}
 		}
@@ -252,7 +241,7 @@ func BenchmarkCandidateSet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc := getAccum()
 		acc.lookup(e.Index, cliques)
-		benchSink = len(acc.merge(NoExclude, 0, nil))
+		benchSink = len(acc.merge(NoExclude))
 		putAccum(acc)
 	}
 }

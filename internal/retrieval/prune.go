@@ -3,10 +3,8 @@ package retrieval
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
-	"figfusion/internal/fig"
 	"figfusion/internal/index"
 	"figfusion/internal/media"
 	"figfusion/internal/mrf"
@@ -14,56 +12,43 @@ import (
 	"figfusion/internal/topk"
 )
 
-// PruningMode selects the block-max pruning behaviour of the indexed
-// search paths.
+// PruningMode selects how SearchTA merges the query cliques' posting lists.
 type PruningMode int
 
 const (
-	// PruneOff disables pruning: the pre-pruning code paths run
-	// unchanged. The library default.
+	// PruneOff is the eager Threshold Algorithm: every posting of every
+	// query clique is scored and sorted before the merge starts. The
+	// library default, and the reference the parity tests and the
+	// benchmark compare PruneBlockMax against.
 	PruneOff PruningMode = iota
-	// PruneBlockMax enables the exact pruning layer: the TA path merges
-	// posting lists through lazily materialised blocks (postings in
-	// blocks whose upper bound never reaches the merge frontier are never
-	// scored), and the candidate path's admission gate skips candidates
-	// whose summed block maxima cannot beat the current k-th heap score.
-	// Results are byte-identical to PruneOff at any worker and shard
-	// count; this is the mode the serving binaries default to.
+	// PruneBlockMax merges through lazily materialised posting blocks:
+	// postings in blocks whose upper bound never reaches the merge
+	// frontier are never scored. Results are byte-identical to PruneOff
+	// at any worker and shard count; this is the mode the serving
+	// binaries run.
 	PruneBlockMax
-	// PruneBlockMaxQuantized is PruneBlockMax plus a quantized first
-	// scoring pass on the candidate path: clique weights are snapped down
-	// to a 16-bit grid, the top 2k survivors under the cheap pass are
-	// rescored with the exact CliqueSet, and the exact top k of the
-	// survivors is returned. Deterministic at any worker count, but
-	// approximate: an object whose exact score ranks in the top k can
-	// miss the 2k survivor cut when quantization reorders the tail.
-	PruneBlockMaxQuantized
 )
 
-// String names the mode as the -pruning flags spell it.
+// String names the mode.
 func (m PruningMode) String() string {
 	switch m {
 	case PruneOff:
 		return "off"
 	case PruneBlockMax:
 		return "blockmax"
-	case PruneBlockMaxQuantized:
-		return "blockmax-quantized"
 	}
 	return fmt.Sprintf("PruningMode(%d)", int(m))
 }
 
-// ParsePruningMode parses a -pruning flag value (case-insensitive).
+// ParsePruningMode is the inverse of String (case-insensitive).
 func ParsePruningMode(s string) (PruningMode, error) {
 	switch strings.ToLower(s) {
 	case "off":
 		return PruneOff, nil
 	case "blockmax":
 		return PruneBlockMax, nil
-	case "blockmax-quantized", "blockmaxquantized":
-		return PruneBlockMaxQuantized, nil
 	}
-	return PruneOff, fmt.Errorf("retrieval: unknown pruning mode %q (want off, blockmax or blockmax-quantized)", s)
+	return PruneOff, fmt.Errorf("retrieval: unknown pruning mode %q (want off or blockmax)", s)
 }
 
 // boundSlack is the relative inflation applied to every block-max bound.
@@ -104,94 +89,6 @@ func blockBounds(dst []float64, cs *mrf.CliqueSet, ci int, entry *index.Entry, g
 		dst = append(dst, u)
 	}
 	return dst
-}
-
-// admissionEligible reports whether the candidate-path admission gate is
-// sound for this engine configuration. The gate's bound sums block maxima
-// over the cliques whose posting lists contain the candidate — a
-// member-only bound. Two things can put score mass outside it:
-//
-//   - α > 0: every query clique, member or not, contributes its smoothing
-//     term to every candidate. That mass is corpus-wide (it depends on
-//     the candidate's full feature list), so no per-posting summary can
-//     bound it; measurement on the generated corpora shows it dominating
-//     (the sound member+residual bound prunes nothing at the default α).
-//   - Truncated FIGs (MaxNodes, MaxCliques): an object can then contain a
-//     clique's features without appearing in its posting list, giving a
-//     non-member a positive set-frequency term the bound never sees.
-//
-// With α = 0 and untruncated enumeration, a non-member's contribution is
-// exactly zero and the member-only bound is sound. The TA path has no
-// such restriction — its aggregate is member-only by definition.
-func admissionEligible(p mrf.Params, bopts fig.Options, eopts fig.EnumerateOptions) bool {
-	return !(p.Alpha > 0) && bopts.MaxNodes == 0 && eopts.MaxCliques == 0
-}
-
-// admissionBounds builds the per-entry block-bound table the count-merge
-// consumes, reusing the accumulator's pooled backing storage. A nil row
-// marks a clique whose blocks are stale (or whose entry is nil) — any
-// candidate drawing on it becomes unboundable. Rows are aligned with
-// a.entries.
-func (a *candAccum) admissionBounds(cs *mrf.CliqueSet, gen uint64) [][]float64 {
-	total := 0
-	for _, entry := range a.entries {
-		if entry != nil {
-			total += (len(entry.Objects) + index.BlockLen - 1) / index.BlockLen
-		}
-	}
-	if cap(a.ubBack) < total {
-		a.ubBack = make([]float64, 0, total)
-	}
-	a.ubBack = a.ubBack[:0]
-	a.ub = a.ub[:0]
-	for i, entry := range a.entries {
-		if entry == nil {
-			a.ub = append(a.ub, nil)
-			continue
-		}
-		start := len(a.ubBack)
-		filled := blockBounds(a.ubBack, cs, i, entry, gen)
-		if filled == nil {
-			a.ub = append(a.ub, nil)
-			continue
-		}
-		a.ubBack = filled
-		a.ub = append(a.ub, a.ubBack[start:len(a.ubBack):len(a.ubBack)])
-	}
-	return a.ub
-}
-
-// quantizeWeights snaps the Eq. 9 clique weights down onto a 16-bit grid
-// spanning [0, max(w)]: the first-pass weights of PruneBlockMaxQuantized.
-// Rounding down (never up) keeps every quantized potential at or below
-// its exact counterpart, so the admission gate's exact-weight bounds
-// remain sound for the quantized pass and the surviving set is a
-// deterministic function of the query alone — independent of worker
-// count. The grid step max(w)/65535 bounds the per-clique weight error,
-// the quantity DESIGN.md's error analysis starts from.
-func quantizeWeights(w []float64) []float64 {
-	var maxW float64
-	for _, v := range w {
-		if v > maxW {
-			maxW = v
-		}
-	}
-	q := make([]float64, len(w))
-	if maxW <= 0 {
-		return q
-	}
-	step := maxW / 65535
-	for i, v := range w {
-		n := math.Floor(v / step)
-		if n > 65535 {
-			n = 65535
-		}
-		if n < 0 {
-			n = 0
-		}
-		q[i] = n * step
-	}
-	return q
 }
 
 // lazyShared is the state all of one query's lazy cursors share. The

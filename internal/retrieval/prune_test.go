@@ -9,15 +9,14 @@ import (
 	"figfusion/internal/dataset"
 	"figfusion/internal/index"
 	"figfusion/internal/media"
-	"figfusion/internal/mrf"
 	"figfusion/internal/obs"
 	"figfusion/internal/topk"
 )
 
 // pruneEngine builds an engine with the given config; alpha >= 0 swaps in
-// a parameter clone with that smoothing weight (alpha = 0 is the
-// configuration where the candidate admission gate is provably sound and
-// therefore active).
+// a parameter clone with that smoothing weight (alpha = 0 makes every
+// block bound a pure set-frequency bound, the other end of the range from
+// the default 0.25).
 func pruneEngine(t *testing.T, d *dataset.Dataset, cfg Config, alpha float64) *Engine {
 	t.Helper()
 	e := newEngine(t, d, cfg)
@@ -58,22 +57,18 @@ func pruneRunBytes(t *testing.T, d *dataset.Dataset, e *Engine, queries int) []b
 	return buf.Bytes()
 }
 
-// TestBlockMaxParity is the exactness gate of the tentpole: with
-// quantization off, the pruned engine's results are byte-identical to the
-// unpruned engine's on every indexed search path, at every worker count,
-// with and without the candidate cap, at the default smoothing weight
-// (where only the TA block skipping engages) and at alpha = 0 (where the
-// candidate admission gate engages too).
+// TestBlockMaxParity is the exactness gate of the pruning layer: the
+// pruned engine's results are byte-identical to the unpruned engine's on
+// every indexed search path, at every worker count, at the default
+// smoothing weight and at alpha = 0.
 func TestBlockMaxParity(t *testing.T) {
 	d := testData(t)
 	for _, alpha := range []float64{-1, 0} {
-		for _, cap := range []int{0, 20} {
-			base := pruneRunBytes(t, d, pruneEngine(t, d, Config{CandidateCap: cap}, alpha), 20)
-			for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
-				e := pruneEngine(t, d, Config{Workers: w, CandidateCap: cap, Pruning: PruneBlockMax}, alpha)
-				if got := pruneRunBytes(t, d, e, 20); !bytes.Equal(base, got) {
-					t.Fatalf("alpha=%v cap=%d workers=%d: blockmax diverges from unpruned", alpha, cap, w)
-				}
+		base := pruneRunBytes(t, d, pruneEngine(t, d, Config{}, alpha), 20)
+		for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
+			e := pruneEngine(t, d, Config{Workers: w, Pruning: PruneBlockMax}, alpha)
+			if got := pruneRunBytes(t, d, e, 20); !bytes.Equal(base, got) {
+				t.Fatalf("alpha=%v workers=%d: blockmax diverges from unpruned", alpha, w)
 			}
 		}
 	}
@@ -144,86 +139,25 @@ func TestBlockMaxParityAcrossSnapshotAndInsert(t *testing.T) {
 	}
 }
 
-// TestQuantizedDeterministicAcrossWorkers: the quantized first pass keeps
-// worker-count determinism (floored weights keep every quantized score
-// under its exact-weight admission bound, so the gate never depends on the
-// striping), and exact rescoring keeps the final scores bit-exact MRF
-// scores.
-func TestQuantizedDeterministicAcrossWorkers(t *testing.T) {
-	d := testData(t)
-	for _, alpha := range []float64{-1, 0} {
-		base := pruneRunBytes(t, d, pruneEngine(t, d, Config{Workers: 1, Pruning: PruneBlockMaxQuantized}, alpha), 20)
-		if len(bytes.TrimSpace(base)) == 0 {
-			t.Fatalf("alpha=%v: quantized engine returned no results", alpha)
-		}
-		for _, w := range []int{2, 4, runtime.NumCPU()} {
-			e := pruneEngine(t, d, Config{Workers: w, Pruning: PruneBlockMaxQuantized}, alpha)
-			if got := pruneRunBytes(t, d, e, 20); !bytes.Equal(base, got) {
-				t.Fatalf("alpha=%v: quantized workers=%d diverges from workers=1", alpha, w)
-			}
-		}
-	}
-}
-
-// TestQuantizedScoresAreExact: whatever the quantized first pass selects,
-// the served scores come from the exact clique set — each returned item's
-// score equals the unpruned engine's score for the same object.
-func TestQuantizedScoresAreExact(t *testing.T) {
-	d := testData(t)
-	off := pruneEngine(t, d, Config{}, -1)
-	qz := pruneEngine(t, d, Config{Pruning: PruneBlockMaxQuantized}, -1)
-	for i := 0; i < 20; i++ {
-		q := d.Corpus.Object(media.ObjectID(i))
-		exact := map[media.ObjectID]float64{}
-		for _, it := range off.Search(q, 50, q.ID) {
-			exact[it.ID] = it.Score
-		}
-		for _, it := range qz.Search(q, 10, q.ID) {
-			want, ok := exact[it.ID]
-			if !ok {
-				// Outside the unpruned top-50: quantization picked a far
-				// candidate; rescoring still makes its score exact, but we
-				// cannot cross-check it here.
-				continue
-			}
-			if it.Score != want {
-				t.Fatalf("query %d object %d: quantized served %v, exact score is %v", i, it.ID, it.Score, want)
-			}
-		}
-	}
-}
-
-// TestPruneCounters: the admission gate and the block skipper report their
-// work through the retrieval.prune.* registry counters — and actually do
-// work on this corpus (nonzero skips), which is what the perf claim and
-// the /v1/metrics surface rest on.
+// TestPruneCounters: the block skipper reports its work through the
+// retrieval.prune.blocks.skipped registry counter — and actually does work
+// on this corpus (nonzero skips), which is what the perf claim and the
+// /v1/metrics surface rest on.
 func TestPruneCounters(t *testing.T) {
 	d := testData(t)
-	params := mrf.DefaultParams()
-	params.Alpha = 0 // candidate gate requires the smoothing-free config
 	reg := obs.NewRegistry()
-	e := newEngine(t, d, Config{Params: params, Pruning: PruneBlockMax, Metrics: reg})
+	e := newEngine(t, d, Config{Pruning: PruneBlockMax, Metrics: reg})
 	for i := 0; i < 20; i++ {
 		q := d.Corpus.Object(media.ObjectID(i))
-		e.Search(q, 5, q.ID)
 		e.SearchTA(q, 5, q.ID)
 	}
-	admitted := reg.Counter("retrieval.prune.candidates.admitted").Value()
-	skipped := reg.Counter("retrieval.prune.candidates.skipped").Value()
-	blocks := reg.Counter("retrieval.prune.blocks.skipped").Value()
-	if admitted == 0 {
-		t.Error("no candidates admitted through the gate")
-	}
-	if skipped == 0 {
-		t.Error("admission gate never skipped a candidate")
-	}
-	if blocks == 0 {
+	if reg.Counter("retrieval.prune.blocks.skipped").Value() == 0 {
 		t.Error("lazy TA never skipped a block")
 	}
 }
 
 // TestPruningOffNoCounters: with pruning off the engine must not touch the
-// prune counters (the gate work is genuinely absent, not merely invisible).
+// prune counter (the eager path materialises every block).
 func TestPruningOffNoCounters(t *testing.T) {
 	d := testData(t)
 	reg := obs.NewRegistry()
@@ -233,25 +167,17 @@ func TestPruningOffNoCounters(t *testing.T) {
 		e.Search(q, 5, q.ID)
 		e.SearchTA(q, 5, q.ID)
 	}
-	for _, name := range []string{
-		"retrieval.prune.candidates.admitted",
-		"retrieval.prune.candidates.skipped",
-		"retrieval.prune.blocks.skipped",
-	} {
-		if v := reg.Counter(name).Value(); v != 0 {
-			t.Errorf("%s = %d with pruning off", name, v)
-		}
+	if v := reg.Counter("retrieval.prune.blocks.skipped").Value(); v != 0 {
+		t.Errorf("retrieval.prune.blocks.skipped = %d with pruning off", v)
 	}
 }
 
 func TestParsePruningMode(t *testing.T) {
 	cases := map[string]PruningMode{
-		"off":                PruneOff,
-		"OFF":                PruneOff,
-		"blockmax":           PruneBlockMax,
-		"BlockMax":           PruneBlockMax,
-		"blockmax-quantized": PruneBlockMaxQuantized,
-		"blockmaxquantized":  PruneBlockMaxQuantized,
+		"off":      PruneOff,
+		"OFF":      PruneOff,
+		"blockmax": PruneBlockMax,
+		"BlockMax": PruneBlockMax,
 	}
 	for in, want := range cases {
 		got, err := ParsePruningMode(in)

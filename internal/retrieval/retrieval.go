@@ -48,14 +48,6 @@ type Config struct {
 	// same corpus (FID and ObjectID spaces) with the same Build/Enum
 	// options.
 	Index *index.Inverted
-	// CandidateCap bounds how many index candidates receive the full MRF
-	// score per query (0 = unlimited). When the candidate set exceeds the
-	// cap, candidates are pre-ranked by the number of query cliques they
-	// share — the cheap evidence the index provides for free — and only
-	// the top CandidateCap are scored. This two-stage refinement bounds
-	// query latency at large |D| at a small recall cost (see the
-	// BenchmarkAblationCandidateCap ablation).
-	CandidateCap int
 	// Workers bounds the scoring fan-out of one query (Search, SearchTA,
 	// SearchMergeFull and SearchScan stripe their candidate scoring over
 	// this many goroutines) and of the index build (FIG construction and
@@ -72,13 +64,10 @@ type Config struct {
 	// SlowLog, when non-nil (and Metrics is set), receives finished query
 	// traces that crossed its threshold.
 	SlowLog *obs.SlowLog
-	// Pruning selects the block-max pruning mode of the indexed search
-	// paths (see PruningMode). The zero value is PruneOff — the exact
-	// pre-pruning behaviour — matching the library's
-	// no-surprises default; the serving binaries opt into PruneBlockMax,
-	// which is byte-identical by construction (the exactness contract the
-	// parity tests pin) but skips posting blocks and candidates whose
-	// block-max bounds cannot reach the k-th score.
+	// Pruning selects how SearchTA merges posting lists (see PruningMode).
+	// The zero value is PruneOff, the eager reference; the serving binaries
+	// run PruneBlockMax, which returns the same bytes while scoring fewer
+	// postings.
 	Pruning PruningMode
 }
 
@@ -89,13 +78,11 @@ type Engine struct {
 	Scorer *mrf.Scorer
 	Index  *index.Inverted
 
-	buildOpts    fig.Options
-	enumOpts     fig.EnumerateOptions
-	candidateCap int
-	workers      int
-	pruning      PruningMode
-	gateEligible bool          // admission gate soundness precondition (see admissionEligible)
-	metrics      *queryMetrics // nil = no-op instrumentation
+	buildOpts fig.Options
+	enumOpts  fig.EnumerateOptions
+	workers   int
+	pruning   PruningMode
+	metrics   *queryMetrics // nil = no-op instrumentation
 }
 
 // NewEngine trains nothing by itself: it wires the correlation model,
@@ -110,14 +97,12 @@ func NewEngine(m *corr.Model, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("retrieval: %w", err)
 	}
 	e := &Engine{
-		Model:        m,
-		Scorer:       scorer,
-		buildOpts:    cfg.BuildOpts,
-		enumOpts:     cfg.EnumOpts,
-		candidateCap: cfg.CandidateCap,
-		workers:      cfg.Workers,
-		pruning:      cfg.Pruning,
-		gateEligible: admissionEligible(params, cfg.BuildOpts, cfg.EnumOpts),
+		Model:     m,
+		Scorer:    scorer,
+		buildOpts: cfg.BuildOpts,
+		enumOpts:  cfg.EnumOpts,
+		workers:   cfg.Workers,
+		pruning:   cfg.Pruning,
 	}
 	switch {
 	case cfg.Index != nil:
@@ -144,7 +129,6 @@ func (e *Engine) WithParams(params mrf.Params) (*Engine, error) {
 	}
 	clone := *e
 	clone.Scorer = scorer
-	clone.gateEligible = admissionEligible(params, e.buildOpts, e.enumOpts)
 	return &clone, nil
 }
 
@@ -187,35 +171,15 @@ func (e *Engine) SearchContext(ctx context.Context, q *media.Object, k int, excl
 	defer putAccum(acc)
 	st = tr.Begin()
 	acc.lookup(e.Index, cliques)
+	candidates := acc.merge(exclude)
 	tr.End(obs.StageGather, st)
-	// Compile before the candidate merge (the pre-pruning order was the
-	// reverse): the admission bounds the gated merge accumulates are
-	// priced with the compiled clique weights.
 	st = tr.Begin()
-	cs, csq := e.compileModes(cliques, acc.entries)
+	cs := e.compile(cliques, acc.entries)
 	tr.End(obs.StagePrepare, st)
-	st = tr.Begin()
-	candidates, bounds := e.mergeCandidates(acc, cs, exclude)
-	tr.End(obs.StageGather, st)
 	tr.SetCandidates(len(candidates))
-	out, err := e.runScoring(ctx, cs, csq, candidates, bounds, k, tr)
+	out, err := e.scoreCandidates(ctx, cs, candidates, k, tr)
 	e.metrics.finish(tr)
 	return out, err
-}
-
-// mergeCandidates runs the count-merge, with the block-max admission
-// bounds attached when the engine prunes and the gate is sound for its
-// configuration (bounds comes back nil otherwise, disabling the gate).
-func (e *Engine) mergeCandidates(acc *candAccum, cs *mrf.CliqueSet, exclude media.ObjectID) ([]media.ObjectID, []float64) {
-	var ub [][]float64
-	if e.pruning != PruneOff && e.gateEligible {
-		ub = acc.admissionBounds(cs, e.Model.Generation())
-	}
-	candidates := acc.merge(exclude, e.candidateCap, ub)
-	if ub == nil {
-		return candidates, nil
-	}
-	return candidates, acc.candBounds()
 }
 
 // PreparedQuery is a query compiled once and searched many times: the FIG
@@ -230,9 +194,6 @@ type PreparedQuery struct {
 	cliques []fig.Clique
 	keys    []string // index keys, precomputed so shard lookups do not re-encode
 	cs      *mrf.CliqueSet
-	// csq is the quantized first-pass clique set, non-nil only when the
-	// preparing engine runs PruneBlockMaxQuantized with CorS weighting.
-	csq *mrf.CliqueSet
 }
 
 // Prepare compiles a query for repeated SearchPrepared/SearchTAPrepared
@@ -252,11 +213,7 @@ func (e *Engine) Prepare(q *media.Object) *PreparedQuery {
 			weights[i] = e.Scorer.CorS(c)
 		}
 	}
-	var csq *mrf.CliqueSet
-	if e.pruning == PruneBlockMaxQuantized && weights != nil {
-		csq = e.Scorer.Compile(cliques, quantizeWeights(weights))
-	}
-	return &PreparedQuery{query: q, cliques: cliques, keys: keys, cs: e.Scorer.Compile(cliques, weights), csq: csq}
+	return &PreparedQuery{query: q, cliques: cliques, keys: keys, cs: e.Scorer.Compile(cliques, weights)}
 }
 
 // SearchPrepared is Search with the query-side work already done: only the
@@ -279,10 +236,10 @@ func (e *Engine) SearchPreparedContext(ctx context.Context, p *PreparedQuery, k 
 	defer putAccum(acc)
 	st := tr.Begin()
 	acc.lookupKeys(e.Index, p.keys)
-	candidates, bounds := e.mergeCandidates(acc, p.cs, exclude)
+	candidates := acc.merge(exclude)
 	tr.End(obs.StageGather, st)
 	tr.SetCandidates(len(candidates))
-	out, err := e.runScoring(ctx, p.cs, p.csq, candidates, bounds, k, tr)
+	out, err := e.scoreCandidates(ctx, p.cs, candidates, k, tr)
 	e.metrics.finish(tr)
 	return out, err
 }
@@ -308,10 +265,9 @@ func (e *Engine) SearchTAPreparedContext(ctx context.Context, p *PreparedQuery, 
 	acc.lookupKeys(e.Index, p.keys)
 	tr.End(obs.StageGather, st)
 	if e.pruning != PruneOff {
-		// Block-max path: byte-identical results (quantization never
-		// applies to TA — its per-list scores would change without a
-		// rescoring stage to repair them), lazily materialised blocks.
-		// Scoring and merging interleave, so both accrue to StageScore.
+		// Block-max path: byte-identical results, lazily materialised
+		// blocks. Scoring and merging interleave, so both accrue to
+		// StageScore.
 		st = tr.Begin()
 		out, err := e.searchTALazy(ctx, p.cs, acc.entries, exclude, k, tr)
 		tr.End(obs.StageScore, st)
@@ -342,34 +298,15 @@ func (e *Engine) SearchTAPreparedContext(ctx context.Context, p *PreparedQuery, 
 // indexed paths diverge from the scorer and from SearchScan). entries must
 // be aligned with cliques, nil marking an unindexed clique.
 func (e *Engine) compile(cliques []fig.Clique, entries []*index.Entry) *mrf.CliqueSet {
-	return e.Scorer.Compile(cliques, e.queryWeights(cliques, entries))
-}
-
-// compileModes is compile plus, under PruneBlockMaxQuantized, the
-// quantized first-pass clique set over the same cliques (nil in every
-// other mode, and when CorS weighting is off — there are then no weights
-// to quantize and the mode degrades to exact PruneBlockMax behaviour).
-func (e *Engine) compileModes(cliques []fig.Clique, entries []*index.Entry) (cs, csq *mrf.CliqueSet) {
-	weights := e.queryWeights(cliques, entries)
-	cs = e.Scorer.Compile(cliques, weights)
-	if e.pruning == PruneBlockMaxQuantized && weights != nil {
-		csq = e.Scorer.Compile(cliques, quantizeWeights(weights))
+	var weights []float64
+	if e.Scorer.Params.UseCorS {
+		gen := e.Model.Generation()
+		weights = make([]float64, len(cliques))
+		for i, c := range cliques {
+			weights[i] = e.cliqueWeight(c, entries[i], gen)
+		}
 	}
-	return cs, csq
-}
-
-// queryWeights resolves the Eq. 9 weight of every query clique (see
-// cliqueWeight); nil when CorS weighting is off.
-func (e *Engine) queryWeights(cliques []fig.Clique, entries []*index.Entry) []float64 {
-	if !e.Scorer.Params.UseCorS {
-		return nil
-	}
-	gen := e.Model.Generation()
-	weights := make([]float64, len(cliques))
-	for i, c := range cliques {
-		weights[i] = e.cliqueWeight(c, entries[i], gen)
-	}
-	return weights
+	return e.Scorer.Compile(cliques, weights)
 }
 
 // cliqueWeight resolves one query clique's Eq. 9 weight at the given
@@ -391,39 +328,6 @@ func (e *Engine) cliqueWeight(c fig.Clique, entry *index.Entry, gen uint64) floa
 // the per-candidate overhead to a predictable-taken branch.
 const cancelStride = 64
 
-// runScoring is the scoring stage behind the indexed search paths. In the
-// exact modes (csq nil) it is scoreCandidates directly. Under
-// PruneBlockMaxQuantized it runs the two-pass pipeline: a first pass over
-// the quantized clique set keeps the top 2k — quantization only perturbs
-// the ordering near ties, so doubling k gives the exact ranking ample
-// room to survive the approximate pass — then the survivors are rescored
-// serially with the exact clique set and the true top k is taken from the
-// exact scores. The admission gate is sound against the quantized scores
-// because quantized weights are floored: every quantized potential is
-// bounded by its exact-weight admission bound.
-func (e *Engine) runScoring(ctx context.Context, cs, csq *mrf.CliqueSet, candidates []media.ObjectID, bounds []float64, k int, tr *obs.QueryTrace) ([]topk.Item, error) {
-	if csq == nil {
-		return e.scoreCandidates(ctx, cs, candidates, bounds, k, tr)
-	}
-	first, err := e.scoreCandidates(ctx, csq, candidates, bounds, 2*k, tr)
-	if err != nil {
-		return nil, err
-	}
-	corpus := e.Model.Stats.Corpus()
-	sc := cs.GetScratch()
-	defer cs.PutScratch(sc)
-	st := tr.Begin()
-	h := topk.NewHeap(k)
-	for _, it := range first {
-		if s := cs.ScoreScratch(sc, corpus.Object(it.ID)); s > 0 {
-			h.Push(topk.Item{ID: it.ID, Score: s})
-		}
-	}
-	out := h.Results()
-	tr.End(obs.StageMerge, st)
-	return out, nil
-}
-
 // scoreCandidates applies the full compiled MRF score to every candidate
 // and keeps the top k. With more than one configured worker and enough
 // candidates to matter, scoring stripes across goroutines; the partial
@@ -432,14 +336,7 @@ func (e *Engine) runScoring(ctx context.Context, cs, csq *mrf.CliqueSet, candida
 // cancelStride candidates per stripe — only when the context is
 // cancellable (done channel non-nil), so Background-context searches pay
 // nothing.
-//
-// bounds, when non-nil, is the per-candidate admission bound aligned with
-// candidates: a candidate whose bound is strictly below the current local
-// heap's k-th score is skipped without being scored. Each worker gates
-// against its own heap, whose k-th score is at most the global one, so a
-// candidate skipped under any striping would also lose the global heap —
-// results stay byte-identical at every worker count, gated or not.
-func (e *Engine) scoreCandidates(ctx context.Context, cs *mrf.CliqueSet, candidates []media.ObjectID, bounds []float64, k int, tr *obs.QueryTrace) ([]topk.Item, error) {
+func (e *Engine) scoreCandidates(ctx context.Context, cs *mrf.CliqueSet, candidates []media.ObjectID, k int, tr *obs.QueryTrace) ([]topk.Item, error) {
 	corpus := e.Model.Stats.Corpus()
 	done := ctx.Done()
 	workers := e.workerCount(len(candidates))
@@ -448,32 +345,21 @@ func (e *Engine) scoreCandidates(ctx context.Context, cs *mrf.CliqueSet, candida
 		defer cs.PutScratch(sc)
 		st := tr.Begin()
 		h := topk.NewHeap(k)
-		skipped := 0
 		for i, oid := range candidates {
 			if done != nil && i%cancelStride == 0 && ctx.Err() != nil {
 				return nil, ctx.Err()
-			}
-			if bounds != nil {
-				if min, ok := h.Min(); ok && bounds[i] < min.Score {
-					skipped++
-					continue
-				}
 			}
 			if s := cs.ScoreScratch(sc, corpus.Object(oid)); s > 0 {
 				h.Push(topk.Item{ID: oid, Score: s})
 			}
 		}
 		tr.End(obs.StageScore, st)
-		if bounds != nil {
-			tr.AddPruneCandidates(len(candidates)-skipped, skipped)
-		}
 		st = tr.Begin()
 		out := h.Results()
 		tr.End(obs.StageMerge, st)
 		return out, nil
 	}
 	partial := make([][]topk.Item, workers)
-	skips := make([]int, workers)
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
 	st := tr.Begin()
@@ -485,26 +371,18 @@ func (e *Engine) scoreCandidates(ctx context.Context, cs *mrf.CliqueSet, candida
 			defer cs.PutScratch(sc)
 			h := topk.NewHeap(k)
 			n := 0
-			skipped := 0
 			for i := w; i < len(candidates); i += workers {
 				if done != nil && n%cancelStride == 0 && ctx.Err() != nil {
 					cancelled.Store(true)
 					return
 				}
 				n++
-				if bounds != nil {
-					if min, ok := h.Min(); ok && bounds[i] < min.Score {
-						skipped++
-						continue
-					}
-				}
 				oid := candidates[i]
 				if s := cs.ScoreScratch(sc, corpus.Object(oid)); s > 0 {
 					h.Push(topk.Item{ID: oid, Score: s})
 				}
 			}
 			partial[w] = h.Results()
-			skips[w] = skipped
 		}(w)
 	}
 	wg.Wait()
@@ -512,13 +390,6 @@ func (e *Engine) scoreCandidates(ctx context.Context, cs *mrf.CliqueSet, candida
 		return nil, ctx.Err()
 	}
 	tr.End(obs.StageScore, st)
-	if bounds != nil {
-		skipped := 0
-		for _, sk := range skips {
-			skipped += sk
-		}
-		tr.AddPruneCandidates(len(candidates)-skipped, skipped)
-	}
 	st = tr.Begin()
 	out := topk.MergeRanked(partial, k)
 	tr.End(obs.StageMerge, st)

@@ -416,39 +416,3 @@ func TestPrebuiltIndexRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestCandidateCap(t *testing.T) {
-	d := testData(t)
-	uncapped := newEngine(t, d, Config{})
-	capped := newEngine(t, d, Config{CandidateCap: 20})
-	q := d.Corpus.Object(6)
-	a := uncapped.Search(q, 10, q.ID)
-	b := capped.Search(q, 10, q.ID)
-	if len(b) == 0 {
-		t.Fatal("capped search found nothing")
-	}
-	if len(b) > 10 {
-		t.Fatalf("capped search returned %d", len(b))
-	}
-	// Quality must not collapse: the capped top-10 keeps most of the
-	// relevant mass the uncapped search finds.
-	rel := func(items []topk.Item) int {
-		n := 0
-		for _, it := range items {
-			if dataset.Relevant(q, d.Corpus.Object(it.ID)) {
-				n++
-			}
-		}
-		return n
-	}
-	if rel(b) < rel(a)-3 {
-		t.Errorf("cap lost too much: %d vs %d relevant", rel(b), rel(a))
-	}
-	// Determinism.
-	b2 := capped.Search(q, 10, q.ID)
-	for i := range b {
-		if b[i] != b2[i] {
-			t.Fatal("capped search not deterministic")
-		}
-	}
-}

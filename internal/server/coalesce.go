@@ -68,6 +68,10 @@ type coalescer struct {
 	hits, misses, shared *obs.Counter // nil without a registry
 }
 
+// coalesceCap is the served result-cache capacity in entries. At capacity
+// the cache flushes wholesale — entries refill in one coalesced round.
+const coalesceCap = 1024
+
 func newCoalescer(capacity int, gen func() uint64, reg *obs.Registry) *coalescer {
 	c := &coalescer{
 		gen:      gen,

@@ -55,11 +55,6 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"DELETE", "/v1/objects"},
 		{"GET", "/v1/recommend"},
 		{"PUT", "/v1/search/batch"},
-		// The retired unversioned aliases keep their method qualifiers:
-		// the wrong verb is still 405, not 410.
-		{"POST", "/healthz"},
-		{"GET", "/objects"},
-		{"GET", "/recommend"},
 	}
 	for _, tc := range cases {
 		if code := doJSON(t, s.Handler(), tc.method, tc.target, nil, nil); code != http.StatusMethodNotAllowed {

@@ -12,29 +12,15 @@ import (
 
 // instrument wraps one route handler with per-route observability:
 // request and error counters plus a latency histogram, all named
-// http.<route>.*. Deprecated aliases additionally answer a
-// "Deprecation: true" header and count under http.deprecated.requests so
-// legacy traffic is visible before the aliases are removed. With
-// metrics disabled the wrapper reduces to the deprecation header alone.
-func (s *Server) instrument(route string, h http.HandlerFunc, deprecated bool) http.Handler {
+// http.<route>.*. With metrics disabled the handler is served bare.
+func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	if s.reg == nil {
-		if !deprecated {
-			return h
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			h(w, r)
-		})
+		return h
 	}
 	requests := s.reg.Counter("http." + route + ".requests")
 	errs := s.reg.Counter("http." + route + ".errors")
 	latency := s.reg.Histogram("http." + route + ".latency")
-	depRequests := s.reg.Counter("http.deprecated.requests")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if deprecated {
-			w.Header().Set("Deprecation", "true")
-			depRequests.Inc()
-		}
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
@@ -129,11 +115,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		slowQueries = []obs.SlowQuery{}
 	}
 	writeJSON(w, http.StatusOK, MetricsResponse{
-		Metrics:       s.reg.Snapshot(),
+		Metrics:       s.metricsSnapshot(),
 		SlowQueries:   slowQueries,
 		SlowTotal:     slowTotal,
 		SlowThreshold: s.slow.Threshold().String(),
 	})
+}
+
+// metricsSnapshot reads the registry with the corpus pinned against
+// inserts: the func gauges walk live engine state (index.resident.bytes
+// reads the index's entry maps), which an unpinned scrape would race with
+// POST /v1/objects.
+func (s *Server) metricsSnapshot() obs.Snapshot {
+	var snap obs.Snapshot
+	s.view(func() { snap = s.reg.Snapshot() })
+	return snap
 }
 
 // handleDebugVars is the /debug/vars-style exposition: the same registry
@@ -143,7 +139,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 	vars := make(map[string]interface{})
 	if s.reg != nil {
-		snap := s.reg.Snapshot()
+		snap := s.metricsSnapshot()
 		for n, v := range snap.Counters {
 			vars[n] = v
 		}

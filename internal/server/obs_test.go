@@ -2,15 +2,16 @@ package server
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"figfusion/internal/dataset"
-	"figfusion/internal/mrf"
 	"figfusion/internal/retrieval"
 )
 
@@ -159,81 +160,6 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliases: with -legacy-routes the unversioned routes still
-// answer but carry a Deprecation header and count under
-// http.deprecated.requests; the /v1 routes carry no such header.
-func TestDeprecatedAliases(t *testing.T) {
-	opts := DefaultOptions()
-	opts.LegacyRoutes = true
-	s, _ := testServerOpts(t, opts)
-	h := s.Handler()
-
-	req := httptest.NewRequest("GET", "/search?id=5&k=2", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("legacy /search status = %d", rec.Code)
-	}
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Error("legacy /search missing Deprecation header")
-	}
-
-	req = httptest.NewRequest("GET", "/v1/search?id=5&k=2", nil)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/search status = %d", rec.Code)
-	}
-	if rec.Header().Get("Deprecation") != "" {
-		t.Error("/v1/search carries a Deprecation header")
-	}
-
-	if got := s.Registry().Counter("http.deprecated.requests").Value(); got != 1 {
-		t.Errorf("http.deprecated.requests = %d, want 1", got)
-	}
-}
-
-// TestLegacyRoutesGone: by default the unversioned aliases are retired —
-// every one answers 410 with the gone envelope naming its /v1
-// replacement, still flagged Deprecation and counted as deprecated
-// traffic so operators can see who is hitting them.
-func TestLegacyRoutesGone(t *testing.T) {
-	s, _ := testServer(t)
-	h := s.Handler()
-	cases := []struct{ method, target, replacement string }{
-		{"GET", "/healthz", "/v1/healthz"},
-		{"GET", "/search?id=5&k=2", "/v1/search"},
-		{"GET", "/object?id=5", "/v1/objects/{id}"},
-		{"POST", "/objects", "/v1/objects"},
-		{"POST", "/recommend", "/v1/recommend"},
-	}
-	for _, tc := range cases {
-		req := httptest.NewRequest(tc.method, tc.target, nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusGone {
-			t.Errorf("%s %s: status = %d, want 410", tc.method, tc.target, rec.Code)
-			continue
-		}
-		var resp ErrorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("%s %s: bad JSON %q: %v", tc.method, tc.target, rec.Body.String(), err)
-		}
-		if resp.Error.Code != CodeGone {
-			t.Errorf("%s %s: code = %q, want %q", tc.method, tc.target, resp.Error.Code, CodeGone)
-		}
-		if !strings.Contains(resp.Error.Message, tc.replacement) {
-			t.Errorf("%s %s: message %q does not name %s", tc.method, tc.target, resp.Error.Message, tc.replacement)
-		}
-		if rec.Header().Get("Deprecation") != "true" {
-			t.Errorf("%s %s: missing Deprecation header", tc.method, tc.target)
-		}
-	}
-	if got := s.Registry().Counter("http.deprecated.requests").Value(); got != uint64(len(cases)) {
-		t.Errorf("http.deprecated.requests = %d, want %d", got, len(cases))
-	}
-}
-
 // TestEnvelopeOnMuxErrors: 404s and 405s generated by the mux itself
 // (no handler involved) still answer the JSON envelope.
 func TestEnvelopeOnMuxErrors(t *testing.T) {
@@ -244,6 +170,8 @@ func TestEnvelopeOnMuxErrors(t *testing.T) {
 		code           string
 	}{
 		{"GET", "/v1/nope", http.StatusNotFound, CodeNotFound},
+		// The pre-v1 unversioned routes are plain unknown paths now.
+		{"GET", "/search?id=5&k=2", http.StatusNotFound, CodeNotFound},
 		{"DELETE", "/v1/search", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 	}
 	for _, tc := range cases {
@@ -313,14 +241,11 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero objects", mutate(func(o *Options) { o.Objects = 0 }), "objects"},
 		{"zero shards", mutate(func(o *Options) { o.Shards = 0 }), "shards"},
 		{"negative workers", mutate(func(o *Options) { o.Workers = -1 }), "workers"},
-		{"negative cap", mutate(func(o *Options) { o.CandidateCap = -1 }), "candidate-cap"},
 		{"zero drain", mutate(func(o *Options) { o.Drain = 0 }), "drain"},
 		{"negative timeout", mutate(func(o *Options) { o.QueryTimeout = -time.Second }), "query-timeout"},
 		{"negative slow", mutate(func(o *Options) { o.SlowQuery = -time.Second }), "slow-query"},
-		{"unknown pruning", mutate(func(o *Options) { o.Pruning = "wand" }), "pruning"},
 		{"negative inflight", mutate(func(o *Options) { o.MaxInflight = -1 }), "max-inflight"},
 		{"negative queue", mutate(func(o *Options) { o.MaxQueue = -1 }), "max-queue"},
-		{"negative coalesce cap", mutate(func(o *Options) { o.CoalesceCap = -1 }), "coalesce-cap"},
 	}
 	for _, tc := range cases {
 		err := tc.o.Validate()
@@ -337,30 +262,35 @@ func TestOptionsValidate(t *testing.T) {
 	if err := withData.Validate(); err != nil {
 		t.Errorf("data-backed options rejected: %v", err)
 	}
-	// Every named pruning mode is accepted and resolves; the empty string
-	// defaults to exact unpruned search.
-	for _, mode := range []string{"off", "blockmax", "blockmax-quantized"} {
-		o := mutate(func(o *Options) { o.Pruning = mode })
-		if err := o.Validate(); err != nil {
-			t.Errorf("pruning=%q rejected: %v", mode, err)
-		}
-		if m, err := o.PruningMode(); err != nil || m.String() != mode {
-			t.Errorf("pruning=%q resolved to %v, %v", mode, m, err)
-		}
+	// The one serving mode resolves to blockmax.
+	if m, err := DefaultOptions().PruningMode(); err != nil || m != retrieval.PruneBlockMax {
+		t.Errorf("serving default pruning resolved to %v, %v; want blockmax", m, err)
 	}
-	empty := mutate(func(o *Options) { o.Pruning = "" })
-	if m, err := empty.PruningMode(); err != nil || m != retrieval.PruneOff {
-		t.Errorf("empty pruning resolved to %v, %v; want off", m, err)
+}
+
+// TestFlagSurface pins the exact flag set Options.Flags registers, the way
+// TestWireFieldNamesPinned pins the wire: adding, renaming or removing a
+// figserver flag is an explicit edit of this list.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "bootstrap", "coalesce", "data", "drain", "hedge-after",
+		"index", "max-inflight", "max-queue", "metrics", "node-name",
+		"nodes", "objects", "pprof", "probe-interval", "query-timeout",
+		"role", "seed", "shards", "slow-query", "workers",
 	}
-	if got := DefaultOptions().Pruning; got != retrieval.PruneBlockMax.String() {
-		t.Errorf("serving default pruning = %q, want blockmax", got)
+	fs := flag.NewFlagSet("figserver", flag.ContinueOnError)
+	opts := DefaultOptions()
+	opts.Flags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // lexical order
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("registered flags (%d) = %v\nwant (%d) %v", len(got), got, len(want), want)
 	}
 }
 
 // TestMetricsPruneCounters: a server fronting a pruned engine reports the
-// admission gate's work through the retrieval.prune.* counters on
-// /v1/metrics. The engine runs the smoothing-free parameter set where the
-// candidate gate is active on the Search path the HTTP handler drives.
+// block skipper's work through retrieval.prune.blocks.skipped on
+// /v1/metrics, driven through the wire protocol's ta selector.
 func TestMetricsPruneCounters(t *testing.T) {
 	cfg := dataset.DefaultConfig()
 	cfg.NumObjects = 200
@@ -376,19 +306,14 @@ func TestMetricsPruneCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := mrf.DefaultParams()
-	params.Alpha = 0
-	engine, err := retrieval.NewEngine(d.Model(), retrieval.Config{
-		Params:  params,
-		Pruning: retrieval.PruneBlockMax,
-	})
+	engine, err := retrieval.NewEngine(d.Model(), retrieval.Config{Pruning: retrieval.PruneBlockMax})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := New(engine, DefaultOptions()).Handler()
 	for i := 0; i < 10; i++ {
-		target := fmt.Sprintf("/v1/search?id=%d&k=5", i)
-		if code := doJSON(t, h, "GET", target, nil, nil); code != http.StatusOK {
+		body := []byte(fmt.Sprintf(`{"id":%d,"k":5,"ta":true}`, i))
+		if code := doJSON(t, h, "POST", "/v1/search", body, nil); code != http.StatusOK {
 			t.Fatalf("search %d: status = %d", i, code)
 		}
 	}
@@ -396,14 +321,7 @@ func TestMetricsPruneCounters(t *testing.T) {
 	if code := doJSON(t, h, "GET", "/v1/metrics", nil, &resp); code != http.StatusOK {
 		t.Fatalf("metrics: status = %d", code)
 	}
-	m := resp.Metrics
-	if got := m.Counters["retrieval.prune.candidates.admitted"]; got == 0 {
-		t.Error("retrieval.prune.candidates.admitted = 0")
-	}
-	if got := m.Counters["retrieval.prune.candidates.skipped"]; got == 0 {
-		t.Error("retrieval.prune.candidates.skipped = 0")
-	}
-	if _, ok := m.Counters["retrieval.prune.blocks.skipped"]; !ok {
-		t.Error("retrieval.prune.blocks.skipped missing from /v1/metrics")
+	if got := resp.Metrics.Counters["retrieval.prune.blocks.skipped"]; got == 0 {
+		t.Error("retrieval.prune.blocks.skipped = 0")
 	}
 }

@@ -32,14 +32,11 @@ type Options struct {
 	// Workers is the scoring fan-out per engine (0 = GOMAXPROCS; sharded
 	// deployments usually keep 1 per shard).
 	Workers int
-	// CandidateCap caps scored candidates per query per engine
-	// (0 = uncapped/exact).
-	CandidateCap int
-	// Pruning selects the top-k pruning mode: "off", "blockmax" (exact,
-	// byte-identical to off), or "blockmax-quantized" (16-bit first pass
-	// with exact rescoring of the survivors). The serving default is
-	// blockmax — it changes no result bytes, only how many candidates are
-	// scored to produce them.
+	// Pruning names the retrieval.PruningMode the caller built its engines
+	// with ("off" or "blockmax"). It is not a flag and the server never
+	// reads it: figserver always serves blockmax. The field and PruningMode
+	// remain only because bench/fixture.go, which this package may not
+	// break, carries the mode of its unpruned reference through them.
 	Pruning string
 	// Drain is the graceful-shutdown drain timeout.
 	Drain time.Duration
@@ -70,15 +67,6 @@ type Options struct {
 	// from cache until the next insert bumps the corpus-global model
 	// generation.
 	Coalesce bool
-	// CoalesceCap caps the result cache (entries); 0 uses the default
-	// (1024). At capacity the cache flushes wholesale — entries refill in
-	// one coalesced round.
-	CoalesceCap int
-	// LegacyRoutes re-enables the deprecated unversioned route aliases
-	// (/healthz, /search, /object, /objects, /recommend) for deployments
-	// still draining pre-v1 clients. Off (the default) answers them with
-	// 410/gone in the error envelope, naming the /v1 replacement.
-	LegacyRoutes bool
 	// Pprof mounts net/http/pprof under /debug/pprof/ when set.
 	Pprof bool
 	// Role selects the multi-node serving mode: "" or "standalone" serves
@@ -135,8 +123,6 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Index, "index", o.Index, "prebuilt index: a clique-index file from figdata -index, or with -shards > 1 the base path of a snapshot set from figdata -shards")
 	fs.IntVar(&o.Shards, "shards", o.Shards, "engine shards; > 1 serves scatter-gather over a partitioned index")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "scoring workers per engine (0 = GOMAXPROCS; sharded mode usually keeps 1 per shard)")
-	fs.IntVar(&o.CandidateCap, "candidate-cap", o.CandidateCap, "cap on scored candidates per query per engine (0 = uncapped/exact)")
-	fs.StringVar(&o.Pruning, "pruning", o.Pruning, "top-k pruning mode: off, blockmax (exact), or blockmax-quantized")
 	fs.DurationVar(&o.Drain, "drain", o.Drain, "graceful-shutdown drain timeout")
 	fs.DurationVar(&o.QueryTimeout, "query-timeout", o.QueryTimeout, "per-request search budget; expiry answers deadline_exceeded (0 = unbounded)")
 	fs.DurationVar(&o.SlowQuery, "slow-query", o.SlowQuery, "slow-query-log threshold")
@@ -144,8 +130,6 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&o.MaxInflight, "max-inflight", o.MaxInflight, "admission control: concurrently executing search-family requests (0 = unbounded)")
 	fs.IntVar(&o.MaxQueue, "max-queue", o.MaxQueue, "admission control: requests waiting behind -max-inflight before shedding with 503")
 	fs.BoolVar(&o.Coalesce, "coalesce", o.Coalesce, "coalesce identical in-flight searches and cache results until the next insert")
-	fs.IntVar(&o.CoalesceCap, "coalesce-cap", o.CoalesceCap, "coalesced result cache capacity in entries (0 = default 1024)")
-	fs.BoolVar(&o.LegacyRoutes, "legacy-routes", o.LegacyRoutes, "serve the deprecated unversioned route aliases instead of answering 410/gone")
 	fs.BoolVar(&o.Pprof, "pprof", o.Pprof, "mount net/http/pprof under /debug/pprof/")
 	fs.StringVar(&o.Role, "role", o.Role, "multi-node role: standalone (default), shard (serve one partition of -nodes), or router (scatter-gather over -nodes)")
 	fs.StringVar(&o.Nodes, "nodes", o.Nodes, "comma-separated node list shared by every role (host:port or URL per entry)")
@@ -169,12 +153,6 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("server: workers must be >= 0, got %d", o.Workers)
 	}
-	if o.CandidateCap < 0 {
-		return fmt.Errorf("server: candidate-cap must be >= 0, got %d", o.CandidateCap)
-	}
-	if _, err := o.PruningMode(); err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
 	if o.Drain <= 0 {
 		return fmt.Errorf("server: drain must be positive, got %s", o.Drain)
 	}
@@ -189,9 +167,6 @@ func (o Options) Validate() error {
 	}
 	if o.MaxQueue < 0 {
 		return fmt.Errorf("server: max-queue must be >= 0, got %d", o.MaxQueue)
-	}
-	if o.CoalesceCap < 0 {
-		return fmt.Errorf("server: coalesce-cap must be >= 0, got %d", o.CoalesceCap)
 	}
 	switch o.Role {
 	case "", "standalone":
@@ -237,14 +212,6 @@ func (o Options) NodeList() []string {
 		}
 	}
 	return out
-}
-
-// coalesceCap resolves the result-cache capacity, defaulting to 1024.
-func (o Options) coalesceCap() int {
-	if o.CoalesceCap > 0 {
-		return o.CoalesceCap
-	}
-	return 1024
 }
 
 // PruningMode parses the Pruning option. An empty string means the zero

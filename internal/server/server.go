@@ -19,16 +19,9 @@
 //	GET  /debug/vars                      flat expvar-style view of the same registry
 //	GET  /debug/pprof/*                   net/http/pprof (only with Options.Pprof)
 //
-// The unversioned pre-v1 routes (/healthz, /search, /object?id=,
-// /objects, /recommend) are retired: by default they answer 410/gone in
-// the error envelope, naming the /v1 replacement. Deployments still
-// draining legacy clients can re-enable them as deprecated aliases
-// (same handlers, same payloads, plus a "Deprecation: true" response
-// header) with Options.LegacyRoutes.
-//
 // The wire contract — request/response structs, the error envelope with
 // its machine-readable codes (invalid_argument, not_found,
-// method_not_allowed, conflict, gone, unavailable, deadline_exceeded),
+// method_not_allowed, conflict, unavailable, deadline_exceeded),
 // and header conventions — lives in internal/api; this package re-exports
 // the names it historically declared as aliases. Search requests run
 // under a per-request budget (Options.QueryTimeout): on expiry the engine
@@ -154,7 +147,7 @@ func (s *Server) initServing() *Server {
 		s.adm = newAdmission(s.opts.MaxInflight, s.opts.MaxQueue, s.reg)
 	}
 	if s.opts.Coalesce {
-		s.coal = newCoalescer(s.opts.coalesceCap(), s.model.Generation, s.reg)
+		s.coal = newCoalescer(coalesceCap, s.model.Generation, s.reg)
 	}
 	return s
 }
@@ -228,49 +221,29 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 	return context.WithTimeout(r.Context(), s.opts.QueryTimeout)
 }
 
-// Handler returns the route multiplexer: the /v1 API, the retired (or,
-// with Options.LegacyRoutes, deprecated-but-served) unversioned aliases,
-// and the debug surface, all wrapped in the per-route instrumentation
-// middleware and the error-envelope rewriter. The search-family routes
-// additionally pass admission control.
+// Handler returns the route multiplexer: the /v1 API and the debug
+// surface, all wrapped in the per-route instrumentation middleware and the
+// error-envelope rewriter. The search-family routes additionally pass
+// admission control.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern, name string, h http.HandlerFunc, deprecated bool) {
-		mux.Handle(pattern, s.instrument(name, h, deprecated))
+	route := func(pattern, name string, h http.HandlerFunc) {
+		mux.Handle(pattern, s.instrument(name, h))
 	}
 	// The versioned API. Search, batch and recommend — the routes whose
 	// cost scales with corpus size — sit behind admission control; cheap
 	// point lookups, ingestion and the observability surface do not.
-	route("GET /v1/healthz", "healthz", s.handleHealth, false)
-	route("GET /v1/search", "search", s.admit(s.handleSearch), false)
-	route("POST /v1/search", "searchwire", s.admit(s.handleSearchWire), false)
-	route("POST /v1/search/batch", "batch", s.admit(s.handleBatch), false)
-	route("GET /v1/objects/{id}", "object", s.handleObjectV1, false)
-	route("POST /v1/objects", "insert", s.handleInsert, false)
-	route("POST /v1/recommend", "recommend", s.admit(s.handleRecommend), false)
-	route("GET /v1/metrics", "metrics", s.handleMetrics, false)
-	route("GET /v1/admin/snapshot", "snapshot", s.handleSnapshot, false)
-	if s.opts.LegacyRoutes {
-		// Deprecated pre-v1 aliases: same handlers and payloads, flagged
-		// with a Deprecation header and counted under
-		// http.deprecated.requests.
-		route("GET /healthz", "healthz", s.handleHealth, true)
-		route("GET /search", "search", s.admit(s.handleSearch), true)
-		route("GET /object", "object", s.handleObjectLegacy, true)
-		route("POST /objects", "insert", s.handleInsert, true)
-		route("POST /recommend", "recommend", s.admit(s.handleRecommend), true)
-	} else {
-		// Retired pre-v1 aliases: 410/gone in the envelope, naming the /v1
-		// replacement. Still flagged and counted as deprecated traffic so
-		// operators can see who is hitting them.
-		route("GET /healthz", "legacy", gone("GET /v1/healthz"), true)
-		route("GET /search", "legacy", gone("GET /v1/search"), true)
-		route("GET /object", "legacy", gone("GET /v1/objects/{id}"), true)
-		route("POST /objects", "legacy", gone("POST /v1/objects"), true)
-		route("POST /recommend", "legacy", gone("POST /v1/recommend"), true)
-	}
+	route("GET /v1/healthz", "healthz", s.handleHealth)
+	route("GET /v1/search", "search", s.admit(s.handleSearch))
+	route("POST /v1/search", "searchwire", s.admit(s.handleSearchWire))
+	route("POST /v1/search/batch", "batch", s.admit(s.handleBatch))
+	route("GET /v1/objects/{id}", "object", s.handleObject)
+	route("POST /v1/objects", "insert", s.handleInsert)
+	route("POST /v1/recommend", "recommend", s.admit(s.handleRecommend))
+	route("GET /v1/metrics", "metrics", s.handleMetrics)
+	route("GET /v1/admin/snapshot", "snapshot", s.handleSnapshot)
 	// Debug surface.
-	route("GET /debug/vars", "debugvars", s.handleDebugVars, false)
+	route("GET /debug/vars", "debugvars", s.handleDebugVars)
 	if s.opts.Pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -279,14 +252,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return envelopeHandler{next: mux}
-}
-
-// gone answers a retired unversioned route with 410 in the envelope.
-func gone(replacement string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusGone, CodeGone,
-			"this unversioned route was retired; use %s (re-enable the alias with -legacy-routes during migration)", replacement)
-	}
 }
 
 // ResultItem is one search hit.
@@ -315,7 +280,6 @@ const (
 	CodeDeadlineExceeded = api.CodeDeadlineExceeded
 	CodeUnavailable      = api.CodeUnavailable
 	CodeConflict         = api.CodeConflict
-	CodeGone             = api.CodeGone
 )
 
 // ErrorBody is the envelope's inner object.
@@ -534,17 +498,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	_ = s.router.StreamSnapshot(w)
 }
 
-// handleObjectV1 serves GET /v1/objects/{id}.
-func (s *Server) handleObjectV1(w http.ResponseWriter, r *http.Request) {
-	s.renderObject(w, r.PathValue("id"))
-}
-
-// handleObjectLegacy serves the deprecated GET /object?id= alias.
-func (s *Server) handleObjectLegacy(w http.ResponseWriter, r *http.Request) {
-	s.renderObject(w, r.URL.Query().Get("id"))
-}
-
-func (s *Server) renderObject(w http.ResponseWriter, raw string) {
+// handleObject serves GET /v1/objects/{id}.
+func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
+	raw := r.PathValue("id")
 	var resp ObjectResponse
 	status := 0
 	errMsg := ""

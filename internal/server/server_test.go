@@ -20,7 +20,7 @@ func testServer(t testing.TB) (*Server, *dataset.Dataset) {
 }
 
 // testServerOpts is the single-engine fixture with a custom Options (used
-// by the legacy-route and admission tests).
+// by the admission tests).
 func testServerOpts(t testing.TB, opts Options) (*Server, *dataset.Dataset) {
 	t.Helper()
 	cfg := dataset.DefaultConfig()

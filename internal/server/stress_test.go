@@ -107,3 +107,54 @@ func TestStressMixedWorkload(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestStressMetricsScrapeDuringInserts scrapes /v1/metrics and /debug/vars
+// while objects are being inserted, on a standalone and on a sharded
+// server. The registry's func gauges read live engine state
+// (index.resident.bytes walks the index's entry maps that an insert
+// writes), so the snapshot has to be taken with the corpus pinned and the
+// shard locked; under the race detector an unpinned scrape fails here.
+func TestStressMetricsScrapeDuringInserts(t *testing.T) {
+	standalone, _ := testServer(t)
+	sharded, _ := testShardedServerOpts(t, 2, DefaultOptions())
+	for name, s := range map[string]*Server{"standalone": standalone, "sharded": sharded} {
+		h := s.Handler()
+		hit := func(method, target string, body []byte) int {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+			return rec.Code
+		}
+		inserted := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				target := "/v1/metrics"
+				if w%2 == 1 {
+					target = "/debug/vars"
+				}
+				for {
+					if code := hit("GET", target, nil); code != http.StatusOK {
+						t.Errorf("%s: GET %s: status %d", name, target, code)
+						return
+					}
+					select {
+					case <-inserted:
+						return
+					default:
+					}
+				}
+			}(w)
+		}
+		for i := 0; i < 24; i++ {
+			body := []byte(fmt.Sprintf(`{"tags":["topic01tag01","scrape%02d"],"month":%d}`, i, i%4))
+			if code := hit("POST", "/v1/objects", body); code != http.StatusCreated {
+				t.Errorf("%s: insert %d: status %d", name, i, code)
+				break
+			}
+		}
+		close(inserted)
+		wg.Wait()
+	}
+}

@@ -139,12 +139,9 @@ func TestScatterGatherParity(t *testing.T) {
 		router  *Router
 	}
 	var systems []sys
-	// Routers run both without pruning and with exact block-max pruning:
-	// quantization off, the pruned scatter-gather must stay byte-identical
-	// to the unpruned single engine at every shard count and lifecycle
-	// step. (Quantized mode is excluded: its candidate selection is shard-
-	// partition dependent by design, so its contract is determinism at a
-	// fixed topology, covered in the retrieval package.)
+	// Routers run both without pruning and with block-max pruning: the
+	// pruned scatter-gather must stay byte-identical to the unpruned
+	// single engine at every shard count and lifecycle step.
 	for _, n := range shardCounts() {
 		for _, pruning := range []retrieval.PruningMode{retrieval.PruneOff, retrieval.PruneBlockMax} {
 			d, m := testSystem(t)

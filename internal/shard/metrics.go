@@ -121,9 +121,7 @@ func (r *Router) SetMetrics(reg *obs.Registry, slow *obs.SlowLog) {
 	reg.Func("index.resident.bytes", func() int64 {
 		var total int64
 		for _, sh := range shards {
-			if sh.eng.Index != nil {
-				total += sh.eng.Index.MemoryBytes()
-			}
+			total += sh.residentBytes()
 		}
 		return total
 	})
@@ -145,4 +143,15 @@ func (r *Router) SetMetrics(reg *obs.Registry, slow *obs.SlowLog) {
 		reg.Func("index.load.ms", func() int64 { return loadMs })
 		reg.Func("index.load.bytes", func() int64 { return loadBytes })
 	}
+}
+
+// residentBytes reads the shard index's self-reported residency under the
+// shard lock — a scrape may race a routed insert mutating this index.
+func (sh *shardState) residentBytes() int64 {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if sh.eng.Index == nil {
+		return 0
+	}
+	return sh.eng.Index.MemoryBytes()
 }
