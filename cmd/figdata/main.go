@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"figfusion/internal/atomicfile"
 	"figfusion/internal/dataset"
 	"figfusion/internal/fig"
 	"figfusion/internal/index"
@@ -68,15 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := d.Save(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := atomicfile.Write(*out, d.Save); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s: %d objects, %d features, %d topics, %d users, %d visual words\n",
@@ -104,15 +97,7 @@ func main() {
 		model := d.Model()
 		model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(*seed+13)))
 		inv := index.Build(model, fig.Options{}, fig.EnumerateOptions{})
-		fi, err := os.Create(*idxOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer fi.Close()
-		if err := inv.Save(fi); err != nil {
-			log.Fatal(err)
-		}
-		if err := fi.Close(); err != nil {
+		if err := atomicfile.Write(*idxOut, inv.Save); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s: %d cliques, %d postings\n", *idxOut, inv.NumCliques(), inv.Postings())

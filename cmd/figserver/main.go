@@ -1,6 +1,6 @@
 // Command figserver serves FIG similarity search over a versioned
-// HTTP/JSON API: it loads (or generates) a corpus, builds the engine — a
-// single engine or a scatter-gather shard router — and listens for
+// HTTP/JSON API: it loads (or generates) a corpus, builds a scatter-gather
+// router over one or more engine shards and listens for
 // search, inspection, ingestion and observability requests until
 // SIGINT/SIGTERM, then drains in-flight requests and exits.
 //
@@ -110,16 +110,22 @@ func main() {
 		cl.Start(ctx)
 		log.Printf("routing over %d nodes: %v (hedge-after %s)", len(names), names, opts.HedgeAfter)
 		srv = server.NewCluster(cl, opts)
-	case "shard":
-		assign, aerr := cluster.NewAssignment(opts.NodeList())
-		if aerr != nil {
-			log.Fatal(aerr)
+	case "shard", "", "standalone":
+		// Both roles serve a router over this process's shards; a shard
+		// node's router indexes only its partition of the node list.
+		cfg := shard.Config{Shards: opts.Shards, Retrieval: retrievalCfg}
+		if opts.Role == "shard" {
+			assign, aerr := cluster.NewAssignment(opts.NodeList())
+			if aerr != nil {
+				log.Fatal(aerr)
+			}
+			me, aerr := assign.Index(opts.NodeName)
+			if aerr != nil {
+				log.Fatal(aerr)
+			}
+			cfg.Owns = assign.Owns(me)
+			log.Printf("node %s (%d of %d)", opts.NodeName, me, assign.Len())
 		}
-		me, aerr := assign.Index(opts.NodeName)
-		if aerr != nil {
-			log.Fatal(aerr)
-		}
-		cfg := shard.Config{Shards: opts.Shards, Retrieval: retrievalCfg, Owns: assign.Owns(me)}
 		var router *shard.Router
 		switch {
 		case opts.Bootstrap != "":
@@ -134,6 +140,27 @@ func main() {
 			}
 			router = r
 			log.Printf("bootstrapped from %s: %d shards, cut at %d objects", opts.Bootstrap, man.Shards, man.Objects)
+		case opts.Index != "" && opts.Role != "shard" && opts.Shards == 1:
+			// One shard's -index is a bare index file from figdata -index,
+			// not a snapshot set: load it and serve the engine around it.
+			f, ferr := os.Open(opts.Index)
+			if ferr != nil {
+				log.Fatal(ferr)
+			}
+			prebuilt, lerr := index.Load(f)
+			f.Close()
+			if lerr != nil {
+				log.Fatal(lerr)
+			}
+			ls := prebuilt.LoadStats()
+			log.Printf("loaded index: %d cliques (%d bytes, %.1f ms, %d loader worker(s))",
+				prebuilt.NumCliques(), ls.Bytes, ls.WallMillis, ls.Workers)
+			retrievalCfg.Index = prebuilt
+			engine, eerr := retrieval.NewEngine(model, retrievalCfg)
+			if eerr != nil {
+				log.Fatal(eerr)
+			}
+			router = shard.FromEngine(engine)
 		case opts.Index != "":
 			r, man, lerr := shard.Load(model, cfg, opts.Index)
 			if lerr != nil {
@@ -147,56 +174,10 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		owned := 0
 		for _, si := range router.ShardInfos() {
-			owned += si.Objects
+			log.Printf("shard %d: %d objects, %d cliques, %d postings", si.Shard, si.Objects, si.Cliques, si.Postings)
 		}
-		log.Printf("node %s (%d of %d): %d of %d objects owned", opts.NodeName, me, assign.Len(), owned, d.Corpus.Len())
 		srv = server.NewSharded(router, opts)
-	default:
-		if opts.Shards > 1 {
-			cfg := shard.Config{Shards: opts.Shards, Retrieval: retrievalCfg}
-			var router *shard.Router
-			if opts.Index != "" {
-				r, man, lerr := shard.Load(model, cfg, opts.Index)
-				if lerr != nil {
-					log.Fatal(lerr)
-				}
-				router = r
-				log.Printf("loaded snapshot set %s: %d shards, cut at %d objects", opts.Index, man.Shards, man.Objects)
-			} else {
-				router, err = shard.NewRouter(model, cfg)
-				if err != nil {
-					log.Fatal(err)
-				}
-			}
-			for _, si := range router.ShardInfos() {
-				log.Printf("shard %d: %d objects, %d cliques, %d postings", si.Shard, si.Objects, si.Cliques, si.Postings)
-			}
-			srv = server.NewSharded(router, opts)
-		} else {
-			engineCfg := retrievalCfg
-			if opts.Index != "" {
-				f, ferr := os.Open(opts.Index)
-				if ferr != nil {
-					log.Fatal(ferr)
-				}
-				prebuilt, lerr := index.Load(f)
-				f.Close()
-				if lerr != nil {
-					log.Fatal(lerr)
-				}
-				engineCfg.Index = prebuilt
-				ls := prebuilt.LoadStats()
-				log.Printf("loaded index: %d cliques (%d bytes, %.1f ms, %d loader worker(s))",
-					prebuilt.NumCliques(), ls.Bytes, ls.WallMillis, ls.Workers)
-			}
-			engine, eerr := retrieval.NewEngine(model, engineCfg)
-			if eerr != nil {
-				log.Fatal(eerr)
-			}
-			srv = server.New(engine, opts)
-		}
 	}
 
 	httpSrv := &http.Server{

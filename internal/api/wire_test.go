@@ -1,13 +1,14 @@
 package api_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
 
 	"figfusion/internal/api"
 	"figfusion/internal/cluster"
-	"figfusion/internal/server"
+	"figfusion/internal/topk"
 )
 
 // The /v1 wire format is an external contract: these literals are the
@@ -111,30 +112,12 @@ func TestWireFieldNamesPinned(t *testing.T) {
 	}
 }
 
-// Every consumer package must speak the identical types — the aliases in
-// internal/cluster and internal/server are the api structs, not copies.
-// These assignments fail to compile if any package grows its own wire
-// shape again.
+// The cluster tier's node transport must speak the api structs themselves,
+// not copies or renamings of them. These assignments fail to compile if
+// the package grows its own wire shape again.
 func TestWireTypesShared(t *testing.T) {
-	var sr api.SearchRequest
-	var _ cluster.SearchRequest = sr
-	var wr api.WireSearchResponse
-	var _ cluster.SearchResponse = wr
-	var f api.Feature
-	var _ cluster.Feature = f
-	var ir api.InsertRequest
-	var _ cluster.InsertRequest = ir
-	var _ server.InsertRequest = ir
-	var rr api.SearchResponse
-	var _ server.SearchResponse = rr
-	var ri api.ResultItem
-	var _ server.ResultItem = ri
-	var or api.ObjectResponse
-	var _ server.ObjectResponse = or
-	var eb api.ErrorBody
-	var _ server.ErrorBody = eb
-	var er api.ErrorResponse
-	var _ server.ErrorResponse = er
+	var _ func(cluster.Backend, context.Context, *api.SearchRequest) ([]topk.Item, error) = cluster.Backend.Search
+	var _ func(cluster.Backend, context.Context, *api.InsertRequest) (int64, error) = cluster.Backend.Insert
 }
 
 func TestErrorCodeStatuses(t *testing.T) {

@@ -32,11 +32,11 @@ var ErrUnavailable = errors.New("cluster: no healthy node available")
 type Backend interface {
 	// Search runs one wire search and returns the node's ranked partial
 	// top-k over its partition.
-	Search(ctx context.Context, req *SearchRequest) ([]topk.Item, error)
+	Search(ctx context.Context, req *api.SearchRequest) ([]topk.Item, error)
 	// Insert applies one replicated insert, returning the assigned object
 	// ID. A stamped request (req.Expect set) fails with an error wrapping
 	// ErrDiverged when the node's corpus size does not match the stamp.
-	Insert(ctx context.Context, req *InsertRequest) (int64, error)
+	Insert(ctx context.Context, req *api.InsertRequest) (int64, error)
 	// Objects reports the node's corpus size — the health and divergence
 	// probe.
 	Objects(ctx context.Context) (int, error)
@@ -61,11 +61,11 @@ func NewLocalBackend(router *shard.Router) *LocalBackend {
 func (b *LocalBackend) Router() *shard.Router { return b.router }
 
 // Search implements Backend.
-func (b *LocalBackend) Search(ctx context.Context, req *SearchRequest) ([]topk.Item, error) {
+func (b *LocalBackend) Search(ctx context.Context, req *api.SearchRequest) ([]topk.Item, error) {
 	var q *media.Object
 	var rerr error
 	b.router.View(func() {
-		q, rerr = ResolveQuery(b.router.Model().Stats.Corpus(), req)
+		q, rerr = api.ResolveQuery(b.router.Model().Stats.Corpus(), req)
 	})
 	if rerr != nil {
 		return nil, rerr
@@ -74,15 +74,13 @@ func (b *LocalBackend) Search(ctx context.Context, req *SearchRequest) ([]topk.I
 	if req.Exclude != nil {
 		exclude = media.ObjectID(*req.Exclude)
 	}
-	if req.TA {
-		return b.router.SearchTAContext(ctx, q, req.K, exclude)
-	}
-	return b.router.SearchContext(ctx, q, req.K, exclude)
+	items, _, err := b.router.Query(ctx, q, req.K, exclude, req.TA)
+	return items, err
 }
 
 // Insert implements Backend.
-func (b *LocalBackend) Insert(_ context.Context, req *InsertRequest) (int64, error) {
-	feats, counts, err := DecodeFeatures(req.Features)
+func (b *LocalBackend) Insert(ctx context.Context, req *api.InsertRequest) (int64, error) {
+	feats, counts, err := api.DecodeFeatures(req.Features)
 	if err != nil {
 		return 0, err
 	}
@@ -90,7 +88,7 @@ func (b *LocalBackend) Insert(_ context.Context, req *InsertRequest) (int64, err
 	if req.Expect != nil {
 		expect = *req.Expect
 	}
-	o, err := b.router.InsertAt(feats, counts, req.Month, expect)
+	o, err := b.router.InsertContext(ctx, feats, counts, req.Month, expect)
 	if err != nil {
 		var pre *shard.PreconditionError
 		if errors.As(err, &pre) {
@@ -132,7 +130,7 @@ func NewHTTPBackend(base string) *HTTPBackend {
 func (b *HTTPBackend) Base() string { return b.c.Base() }
 
 // Search implements Backend over POST /v1/search.
-func (b *HTTPBackend) Search(ctx context.Context, req *SearchRequest) ([]topk.Item, error) {
+func (b *HTTPBackend) Search(ctx context.Context, req *api.SearchRequest) ([]topk.Item, error) {
 	resp, err := b.c.Search(ctx, req)
 	if err != nil {
 		return nil, wireErr(http.MethodPost, "/v1/search", err)
@@ -145,7 +143,7 @@ func (b *HTTPBackend) Search(ctx context.Context, req *SearchRequest) ([]topk.It
 }
 
 // Insert implements Backend over POST /v1/objects.
-func (b *HTTPBackend) Insert(ctx context.Context, req *InsertRequest) (int64, error) {
+func (b *HTTPBackend) Insert(ctx context.Context, req *api.InsertRequest) (int64, error) {
 	resp, err := b.c.Insert(ctx, req)
 	if err != nil {
 		return 0, wireErr(http.MethodPost, "/v1/objects", err)

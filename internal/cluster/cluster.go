@@ -27,10 +27,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"figfusion/internal/api"
 	"figfusion/internal/corr"
 	"figfusion/internal/media"
 	"figfusion/internal/obs"
@@ -101,7 +103,7 @@ type Cluster struct {
 	// atomically with respect to other inserts.
 	insertMu sync.Mutex
 
-	metrics *clusterMetrics
+	metrics clusterMetrics
 }
 
 // hedgeMinSamples is how many latency observations a node needs before its
@@ -190,7 +192,8 @@ func (c *Cluster) Search(q *media.Object, k int, exclude media.ObjectID) Result 
 // done context aborts the scatter with ctx.Err() (node failures degrade to
 // a partial result instead).
 func (c *Cluster) SearchContext(ctx context.Context, q *media.Object, k int, exclude media.ObjectID) (Result, error) {
-	return c.scatter(ctx, c.encode(q, k, exclude, false), k)
+	items, partial, err := c.Query(ctx, q, k, exclude, false)
+	return Result{Items: items, Partial: partial}, err
 }
 
 // SearchTA scatter-gathers the literal Algorithm 1 threshold path.
@@ -202,71 +205,54 @@ func (c *Cluster) SearchTA(q *media.Object, k int, exclude media.ObjectID) Resul
 // SearchTAContext is SearchTA under a context, with SearchContext's
 // cancellation contract.
 func (c *Cluster) SearchTAContext(ctx context.Context, q *media.Object, k int, exclude media.ObjectID) (Result, error) {
-	return c.scatter(ctx, c.encode(q, k, exclude, true), k)
+	items, partial, err := c.Query(ctx, q, k, exclude, true)
+	return Result{Items: items, Partial: partial}, err
+}
+
+// Query is the one search entry point (ta selects the Algorithm 1
+// threshold path): it fans the request out to every eligible node through
+// the leg runner shared with shard.Router, folds the per-node top-k lists
+// under MergeRanked's total order, and applies the degraded-mode policy —
+// skipped and failed nodes flag the answer partial (the returned bool), a
+// done ctx fails the query, and no answering node at all fails it with
+// ErrUnavailable.
+func (c *Cluster) Query(ctx context.Context, q *media.Object, k int, exclude media.ObjectID, ta bool) ([]topk.Item, bool, error) {
+	req := c.encode(q, k, exclude, ta)
+	c.metrics.searches.Inc()
+	live := make([]*node, 0, len(c.nodes))
+	for _, n := range c.nodes {
+		if n.eligible() {
+			live = append(live, n)
+		}
+	}
+	// Node legs wait on peers, so they overlap whatever GOMAXPROCS is.
+	legs := c.metrics.legs.Scatter(len(live), true, func(i int) ([]topk.Item, error) {
+		return c.callNode(ctx, live[i], req)
+	})
+	answered := 0
+	for i, l := range legs {
+		if l.Err == nil {
+			answered++
+			continue
+		}
+		if ctx.Err() != nil {
+			return nil, false, ctx.Err()
+		}
+		c.metrics.errors.Inc()
+		live[i].healthy.Store(false)
+	}
+	if answered == 0 {
+		return nil, false, fmt.Errorf("%w: all %d nodes failed or were skipped", ErrUnavailable, len(c.nodes))
+	}
+	return shard.MergeLegs(legs, k), answered < len(c.nodes), nil
 }
 
 // encode renders the query for the wire under the mirror's read lock (the
 // dictionary may grow under a racing insert).
-func (c *Cluster) encode(q *media.Object, k int, exclude media.ObjectID, ta bool) *SearchRequest {
+func (c *Cluster) encode(q *media.Object, k int, exclude media.ObjectID, ta bool) *api.SearchRequest {
 	c.statsMu.RLock()
 	defer c.statsMu.RUnlock()
-	return EncodeQuery(c.mirror.Stats.Corpus().Dict, q, k, exclude, ta)
-}
-
-// scatter fans the request out to every eligible node in parallel, folds
-// the per-node top-k lists under MergeRanked's total order, and applies
-// the degraded-mode policy: skipped and failed nodes flag the result
-// partial, a done ctx fails the query, and no answering node at all fails
-// it with ErrUnavailable.
-func (c *Cluster) scatter(ctx context.Context, req *SearchRequest, k int) (Result, error) {
-	c.metrics.search()
-	type nodeOut struct {
-		items   []topk.Item
-		err     error
-		dur     time.Duration
-		skipped bool
-	}
-	outs := make([]nodeOut, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, n := range c.nodes {
-		if !n.eligible() {
-			outs[i].skipped = true
-			continue
-		}
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			start := time.Now()
-			items, err := c.callNode(ctx, n, req)
-			outs[i] = nodeOut{items: items, err: err, dur: time.Since(start)}
-		}(i, n)
-	}
-	wg.Wait()
-	partial := false
-	lists := make([][]topk.Item, 0, len(c.nodes))
-	var durs []time.Duration
-	for i, out := range outs {
-		if out.skipped {
-			partial = true
-			continue
-		}
-		durs = append(durs, out.dur)
-		if out.err != nil {
-			if ctx.Err() != nil {
-				return Result{}, ctx.Err()
-			}
-			c.metrics.nodeError()
-			c.nodes[i].healthy.Store(false)
-			partial = true
-			continue
-		}
-		lists = append(lists, out.items)
-	}
-	c.metrics.observeFanout(durs)
-	if len(lists) == 0 {
-		return Result{}, fmt.Errorf("%w: all %d nodes failed or were skipped", ErrUnavailable, len(c.nodes))
-	}
-	return Result{Items: topk.MergeRanked(lists, k), Partial: partial}, nil
+	return api.EncodeQuery(c.mirror.Stats.Corpus().Dict, q, k, exclude, ta)
 }
 
 // callNode runs one node request, hedged when configured: if the first
@@ -274,8 +260,8 @@ func (c *Cluster) scatter(ctx context.Context, req *SearchRequest, k int) (Resul
 // second attempt races it and the first answer wins (the loser is
 // cancelled). Both attempts are the same deterministic computation, so the
 // winner's identity never changes result bytes.
-func (c *Cluster) callNode(ctx context.Context, n *node, req *SearchRequest) ([]topk.Item, error) {
-	c.metrics.request()
+func (c *Cluster) callNode(ctx context.Context, n *node, req *api.SearchRequest) ([]topk.Item, error) {
+	c.metrics.requests.Inc()
 	delay := c.hedgeDelay(n)
 	if delay <= 0 {
 		start := time.Now()
@@ -306,7 +292,7 @@ func (c *Cluster) callNode(ctx context.Context, n *node, req *SearchRequest) ([]
 		n.latency.Observe(first.dur)
 		return first.items, first.err
 	case <-timer.C:
-		c.metrics.hedgeFire()
+		c.metrics.hedged.Inc()
 		go run(true)
 		first = <-ch
 	}
@@ -318,7 +304,7 @@ func (c *Cluster) callNode(ctx context.Context, n *node, req *SearchRequest) ([]
 	}
 	n.latency.Observe(first.dur)
 	if first.err == nil && first.hedged {
-		c.metrics.hedgeWin()
+		c.metrics.hedgeWins.Inc()
 	}
 	return first.items, first.err
 }
@@ -363,7 +349,7 @@ func (c *Cluster) InsertContext(ctx context.Context, feats []media.Feature, coun
 	if expect >= 0 && id != expect {
 		return nil, &shard.PreconditionError{Objects: id, Expect: expect}
 	}
-	wire := &InsertRequest{Features: EncodeFeatures(feats, counts), Month: month, Expect: &id}
+	wire := &api.InsertRequest{Features: api.EncodeFeatures(feats, counts), Month: month, Expect: &id}
 	owner := c.assign.NodeFor(media.ObjectID(id))
 	own := c.nodes[owner]
 	if !own.eligible() {
@@ -393,7 +379,7 @@ func (c *Cluster) InsertContext(ctx context.Context, feats []media.Feature, coun
 			continue
 		}
 		if _, err := n.backend.Insert(ctx, wire); err != nil {
-			c.metrics.nodeError()
+			c.metrics.errors.Inc()
 			c.noteInsertFailure(n, err)
 		}
 	}
@@ -504,6 +490,20 @@ func (c *Cluster) NodeInfos() []NodeInfo {
 	}
 	return infos
 }
+
+// HealthFields are the fields this tier adds to /v1/healthz: every node's
+// health and divergence state.
+func (c *Cluster) HealthFields() map[string]interface{} {
+	return map[string]interface{}{"nodes": c.NodeInfos()}
+}
+
+// ErrNoSnapshot is StreamSnapshot's refusal: the indexes live on the nodes.
+var ErrNoSnapshot = errors.New("cluster: a router front-end holds no index to snapshot; stream one from a shard node")
+
+// StreamSnapshot refuses without writing: a cluster front-end holds a
+// mirror model and no index. It exists so the server's backends answer
+// GET /v1/admin/snapshot through one method.
+func (c *Cluster) StreamSnapshot(io.Writer) error { return ErrNoSnapshot }
 
 // Close releases every backend's transport resources.
 func (c *Cluster) Close() error {

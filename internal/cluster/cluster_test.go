@@ -3,11 +3,16 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"figfusion/internal/api"
 	"figfusion/internal/cluster"
 	"figfusion/internal/dataset"
 	"figfusion/internal/media"
@@ -27,14 +32,14 @@ type flakyBackend struct {
 
 var errNodeDown = errors.New("flaky: node is down")
 
-func (f *flakyBackend) Search(ctx context.Context, req *cluster.SearchRequest) ([]topk.Item, error) {
+func (f *flakyBackend) Search(ctx context.Context, req *api.SearchRequest) ([]topk.Item, error) {
 	if f.down.Load() {
 		return nil, errNodeDown
 	}
 	return f.Backend.Search(ctx, req)
 }
 
-func (f *flakyBackend) Insert(ctx context.Context, req *cluster.InsertRequest) (int64, error) {
+func (f *flakyBackend) Insert(ctx context.Context, req *api.InsertRequest) (int64, error) {
 	if f.down.Load() {
 		return 0, errNodeDown
 	}
@@ -169,7 +174,7 @@ func TestClusterDegradedPartialResults(t *testing.T) {
 // to end: a node that misses a replicated insert is marked divergent and
 // skipped (searches degrade to partial), probes alone cannot clear it
 // while its corpus size disagrees with the mirror, and once an operator
-// replays the missed insert (stamped, through InsertAt) the next probe
+// replays the missed insert (stamped, through InsertContext) the next probe
 // restores it.
 func TestClusterDivergenceAndReplay(t *testing.T) {
 	c, _, backends, routers := flakyCluster(t, 2)
@@ -206,15 +211,15 @@ func TestClusterDivergenceAndReplay(t *testing.T) {
 
 	// Stale stamps refuse directly at the node.
 	wrongExpect := routers[lost].Model().Stats.Corpus().Len() + 5
-	if _, err := backends[lost].Insert(context.Background(), &cluster.InsertRequest{
-		Features: cluster.EncodeFeatures(feats, counts), Month: 2, Expect: &wrongExpect,
+	if _, err := backends[lost].Insert(context.Background(), &api.InsertRequest{
+		Features: api.EncodeFeatures(feats, counts), Month: 2, Expect: &wrongExpect,
 	}); !errors.Is(err, cluster.ErrDiverged) {
 		t.Fatalf("stale stamp returned %v, want ErrDiverged", err)
 	}
 
 	// Operator replay: apply the missed insert with its original stamp,
 	// then probe — the node's corpus matches the mirror again.
-	if _, err := routers[lost].InsertAt(feats, counts, 2, int(o.ID)); err != nil {
+	if _, err := routers[lost].InsertContext(context.Background(), feats, counts, 2, int(o.ID)); err != nil {
 		t.Fatalf("replaying the missed insert: %v", err)
 	}
 	c.Probe(context.Background())
@@ -276,7 +281,8 @@ func TestSnapshotBootstrapOverHTTP(t *testing.T) {
 		t.Fatal("a snapshot of node 0's partition loaded under node 1's config")
 	}
 
-	// Standalone (non-sharded) servers refuse to stream.
+	// A standalone server is a one-shard router: it streams a one-shard set
+	// that loads and answers byte-identically.
 	_, sm := testSystem(t)
 	eng, err := retrieval.NewEngine(sm, retrieval.Config{})
 	if err != nil {
@@ -284,8 +290,48 @@ func TestSnapshotBootstrapOverHTTP(t *testing.T) {
 	}
 	single := httptest.NewServer(server.New(eng, server.DefaultOptions()).Handler())
 	t.Cleanup(single.Close)
-	if _, err := cluster.FetchSnapshot(context.Background(), single.URL); err == nil {
-		t.Fatal("single-engine server streamed a snapshot")
+	rc3, err := cluster.FetchSnapshot(context.Background(), single.URL)
+	if err != nil {
+		t.Fatalf("standalone server refused to stream: %v", err)
+	}
+	defer rc3.Close()
+	_, m4 := testSystem(t)
+	m4.Thresholds = sm.Thresholds
+	repl1, man1, err := shard.LoadSnapshotStream(m4, shard.Config{}, rc3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man1.Shards != 1 {
+		t.Fatalf("standalone snapshot set has %d shards, want 1", man1.Shards)
+	}
+	body := func(base, path string) string {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %s", resp.StatusCode, raw)
+	}
+	loaded := nodeServer(t, repl1)
+	for id := 0; id < 10; id++ {
+		path := fmt.Sprintf("/v1/search?id=%d&k=10", id)
+		if want, got := body(single.URL, path), body(loaded.URL, path); want != got {
+			t.Fatalf("%s: loaded one-shard set answers\n%s\nstandalone server answered\n%s", path, got, want)
+		}
+	}
+
+	// A cluster front-end holds no index: it still refuses, with the
+	// unavailable envelope.
+	c, _ := localCluster(t, 2)
+	front := httptest.NewServer(server.NewCluster(c, server.DefaultOptions()).Handler())
+	t.Cleanup(front.Close)
+	if got := body(front.URL, "/v1/admin/snapshot"); !strings.HasPrefix(got, "503 ") || !strings.Contains(got, `"code":"unavailable"`) {
+		t.Fatalf("cluster front-end snapshot = %s, want 503 unavailable", got)
 	}
 }
 
@@ -296,7 +342,7 @@ type slowBackend struct {
 	delay time.Duration
 }
 
-func (s *slowBackend) Search(ctx context.Context, req *cluster.SearchRequest) ([]topk.Item, error) {
+func (s *slowBackend) Search(ctx context.Context, req *api.SearchRequest) ([]topk.Item, error) {
 	select {
 	case <-time.After(s.delay):
 	case <-ctx.Done():

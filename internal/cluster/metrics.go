@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"figfusion/internal/obs"
+	"figfusion/internal/shard"
 )
 
 // Metric names the cluster registers. Per-node latency histograms carry
@@ -21,87 +21,30 @@ const (
 	metricInserts      = "cluster.inserts.total"
 )
 
-// clusterMetrics is the router front-end's instrument bundle: fan-out
-// latency and straggler gap over nodes (the cluster-level analogue of the
-// shard router's per-shard spread), node request/error counters, hedging
-// effectiveness, and insert routing counters. Nil = instrumentation off —
-// except the per-node latency histograms, which live on the nodes
-// themselves because hedge delays derive from them.
+// clusterMetrics is the router front-end's instrument bundle: the shared
+// leg runner's fan-out latency and straggler gap, here over nodes where
+// the shard router's are over shards, node request/error counters, hedging
+// effectiveness, and insert routing counters. The zero value is
+// instrumentation off (nil instruments ignore updates) — except the
+// per-node latency histograms, which live on the nodes themselves because
+// hedge delays derive from them.
 type clusterMetrics struct {
 	searches  *obs.Counter
 	requests  *obs.Counter
 	errors    *obs.Counter
 	hedged    *obs.Counter
 	hedgeWins *obs.Counter
-	fanout    *obs.Histogram
-	straggler *obs.Histogram
+	legs      shard.Fanout
 	inserts   *obs.Counter
 	nodeIns   []*obs.Counter
 }
 
-func (m *clusterMetrics) search() {
-	if m == nil {
-		return
-	}
-	m.searches.Inc()
-}
-
-func (m *clusterMetrics) request() {
-	if m == nil {
-		return
-	}
-	m.requests.Inc()
-}
-
-func (m *clusterMetrics) nodeError() {
-	if m == nil {
-		return
-	}
-	m.errors.Inc()
-}
-
-func (m *clusterMetrics) hedgeFire() {
-	if m == nil {
-		return
-	}
-	m.hedged.Inc()
-}
-
-func (m *clusterMetrics) hedgeWin() {
-	if m == nil {
-		return
-	}
-	m.hedgeWins.Inc()
-}
-
-// observeFanout records the per-node latencies of one scatter and their
-// straggler gap (only meaningful past one answering node).
-func (m *clusterMetrics) observeFanout(durs []time.Duration) {
-	if m == nil || len(durs) == 0 {
-		return
-	}
-	min, max := durs[0], durs[0]
-	for _, d := range durs {
-		m.fanout.Observe(d)
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	if len(durs) > 1 {
-		m.straggler.Observe(max - min)
-	}
-}
-
 // insert counts one replicated insert against its owning node.
 func (m *clusterMetrics) insert(node int) {
-	if m == nil {
-		return
-	}
 	m.inserts.Inc()
-	m.nodeIns[node].Inc()
+	if m.nodeIns != nil {
+		m.nodeIns[node].Inc()
+	}
 }
 
 // SetMetrics attaches (or detaches, with a nil registry) observability.
@@ -110,18 +53,13 @@ func (m *clusterMetrics) insert(node int) {
 // are currently healthy and how many have diverged. Call after
 // construction, never concurrently with serving.
 func (c *Cluster) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		c.metrics = nil
-		return
-	}
-	m := &clusterMetrics{
+	m := clusterMetrics{
 		searches:  reg.Counter(metricSearchTotal),
 		requests:  reg.Counter(metricNodeRequests),
 		errors:    reg.Counter(metricNodeErrors),
 		hedged:    reg.Counter(metricHedgeFired),
 		hedgeWins: reg.Counter(metricHedgeWon),
-		fanout:    reg.Histogram(metricFanout),
-		straggler: reg.Histogram(metricStraggler),
+		legs:      shard.NewFanout(reg, metricFanout, metricStraggler),
 		inserts:   reg.Counter(metricInserts),
 		nodeIns:   make([]*obs.Counter, len(c.nodes)),
 	}

@@ -79,13 +79,23 @@ func (t *QueryTrace) Begin() time.Time {
 }
 
 // End accrues the span since start into the given stage. Stages may be
-// ended multiple times; spans accumulate (the prepare stage of an indexed
-// search is two spans split around candidate gathering).
+// ended multiple times; spans accumulate.
 func (t *QueryTrace) End(s Stage, start time.Time) {
 	if t == nil {
 		return
 	}
 	t.Stages[s] += time.Since(start)
+}
+
+// Add accrues a span that was timed before the trace opened — the prepare
+// stage of a prepared search — into the stage and, by moving the trace's
+// start back, into the total Finish stamps.
+func (t *QueryTrace) Add(s Stage, d time.Duration) {
+	if t == nil {
+		return
+	}
+	t.Stages[s] += d
+	t.start = t.start.Add(-d)
 }
 
 // AddPruneBlocks accrues posting blocks the lazy TA merge skipped —

@@ -3,7 +3,6 @@ package retrieval
 import (
 	"sync"
 
-	"figfusion/internal/fig"
 	"figfusion/internal/index"
 	"figfusion/internal/media"
 )
@@ -53,17 +52,10 @@ func putAccum(a *candAccum) {
 	accumPool.Put(a)
 }
 
-// lookup resolves each query clique to its index entry (nil when the
-// clique is not indexed) and collects the non-empty posting lists.
-func (a *candAccum) lookup(inv *index.Inverted, cliques []fig.Clique) {
-	for _, c := range cliques {
-		a.add(inv.Lookup(c))
-	}
-}
-
-// lookupKeys is lookup over precomputed clique keys — the prepared-query
-// path, where encoding each clique's key once per shard would repeat the
-// allocation the preparation already paid.
+// lookupKeys resolves each query clique — by its precomputed index key,
+// so no shard re-encodes what Prepare already encoded — to its index entry
+// (nil when the clique is not indexed) and collects the non-empty posting
+// lists.
 func (a *candAccum) lookupKeys(inv *index.Inverted, keys []string) {
 	for _, k := range keys {
 		a.add(inv.LookupKey(k))

@@ -2,14 +2,18 @@ package retrieval
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"figfusion/internal/dataset"
+	"figfusion/internal/fig"
 	"figfusion/internal/media"
 	"figfusion/internal/mrf"
+	"figfusion/internal/topk"
 )
 
 func cloneFeatures(d *dataset.Dataset, src *media.Object) ([]media.Feature, []int) {
@@ -84,7 +88,7 @@ func TestEntryCorSMatchesScorer(t *testing.T) {
 	e := newEngine(t, d, Config{})
 
 	// checkServedWeights compares the weight the indexed paths would
-	// serve (compile's resolution) against a brand-new scorer over the
+	// serve (Prepare's resolution) against a brand-new scorer over the
 	// corpus as it currently stands, and reports how many of the checked
 	// entries were served from the index versus the stale-entry fallback.
 	checkServedWeights := func(label string) (checked, stale int) {
@@ -101,7 +105,7 @@ func TestEntryCorSMatchesScorer(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if got, want := e.cliqueWeight(c, entry, gen), fresh.CorS(c); got != want {
+				if got, want := e.cliqueWeight(c, c.Key(), gen), fresh.CorS(c); got != want {
 					t.Fatalf("%s: clique %v: served weight %v != scorer CorS %v", label, c.Feats, got, want)
 				}
 				if _, ok := entry.CorSAt(gen); !ok {
@@ -149,6 +153,56 @@ func TestEntryCorSMatchesScorer(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSearchIsPrepareThenPreparedSearch pins the one search path: Search
+// and SearchTA answer exactly what Prepare followed by the prepared search
+// answers, and the weights Prepare compiles — index-stored where current —
+// are the ones SearchScan compiles from the scorer alone. Both must hold
+// across an insert, when most index-stored weights are stale and Prepare
+// has to fall back to the scorer for them.
+func TestSearchIsPrepareThenPreparedSearch(t *testing.T) {
+	d := testData(t)
+	e := newEngine(t, d, Config{Pruning: PruneBlockMax})
+	ctx := context.Background()
+	paths := []struct {
+		name     string
+		direct   func(context.Context, *media.Object, int, media.ObjectID) ([]topk.Item, error)
+		prepared func(context.Context, *PreparedQuery, int, media.ObjectID) ([]topk.Item, error)
+	}{
+		{"Search", e.SearchContext, e.SearchPreparedContext},
+		{"SearchTA", e.SearchTAContext, e.SearchTAPreparedContext},
+	}
+	check := func(phase string) {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			q := d.Corpus.Object(media.ObjectID(i))
+			p := e.Prepare(q)
+			scan := e.Scorer.Compile(e.QueryCliques(q), nil)
+			if p.cs.Len() != scan.Len() {
+				t.Fatalf("%s: query %d: Prepare compiled %d cliques, the scan path %d", phase, i, p.cs.Len(), scan.Len())
+			}
+			for ci := 0; ci < scan.Len(); ci++ {
+				if got, want := p.cs.WeightedLambda(ci), scan.WeightedLambda(ci); got != want {
+					t.Fatalf("%s: query %d clique %d: Prepare weight %v != scan-compiled weight %v", phase, i, ci, got, want)
+				}
+			}
+			for _, path := range paths {
+				want, _ := path.direct(ctx, q, 10, q.ID)
+				got, _ := path.prepared(ctx, p, 10, q.ID)
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: query %d: %s = %v, Prepare + prepared = %v", phase, i, path.name, want, got)
+				}
+			}
+		}
+	}
+	check("fresh index")
+	src := d.Corpus.Object(3)
+	feats, counts := cloneFeatures(d, src)
+	if _, err := e.Insert(feats, counts, src.Month); err != nil {
+		t.Fatal(err)
+	}
+	check("after insert")
 }
 
 // workerRunBytes serializes every search path's ranked IDs and scores for
@@ -200,7 +254,7 @@ func TestCandidateMergeMatchesMap(t *testing.T) {
 		q := d.Corpus.Object(media.ObjectID(i))
 		cliques := e.QueryCliques(q)
 		acc := getAccum()
-		acc.lookup(e.Index, cliques)
+		acc.lookupKeys(e.Index, cliqueKeys(cliques))
 		got := acc.merge(q.ID)
 
 		union := make(map[media.ObjectID]bool)
@@ -230,17 +284,26 @@ func TestCandidateMergeMatchesMap(t *testing.T) {
 	}
 }
 
+// cliqueKeys encodes the index keys Prepare would precompute.
+func cliqueKeys(cliques []fig.Clique) []string {
+	keys := make([]string, len(cliques))
+	for i, c := range cliques {
+		keys[i] = c.Key()
+	}
+	return keys
+}
+
 var benchSink int
 
 func BenchmarkCandidateSet(b *testing.B) {
 	d := testData(b)
 	e := newEngine(b, d, Config{})
-	cliques := e.QueryCliques(d.Corpus.Object(0))
+	keys := cliqueKeys(e.QueryCliques(d.Corpus.Object(0)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc := getAccum()
-		acc.lookup(e.Index, cliques)
+		acc.lookupKeys(e.Index, keys)
 		benchSink = len(acc.merge(NoExclude))
 		putAccum(acc)
 	}

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"figfusion/internal/corr"
 	"figfusion/internal/fig"
@@ -163,44 +164,36 @@ func (e *Engine) SearchContext(ctx context.Context, q *media.Object, k int, excl
 	if e.Index == nil {
 		return e.SearchScanContext(ctx, q, k, exclude)
 	}
-	tr := e.metrics.begin(obs.PathIndex)
-	st := tr.Begin()
-	cliques := e.QueryCliques(q)
-	tr.End(obs.StagePrepare, st)
-	acc := getAccum()
-	defer putAccum(acc)
-	st = tr.Begin()
-	acc.lookup(e.Index, cliques)
-	candidates := acc.merge(exclude)
-	tr.End(obs.StageGather, st)
-	st = tr.Begin()
-	cs := e.compile(cliques, acc.entries)
-	tr.End(obs.StagePrepare, st)
-	tr.SetCandidates(len(candidates))
-	out, err := e.scoreCandidates(ctx, cs, candidates, k, tr)
-	e.metrics.finish(tr)
-	return out, err
+	return e.SearchPreparedContext(ctx, e.Prepare(q), k, exclude)
 }
 
 // PreparedQuery is a query compiled once and searched many times: the FIG
 // clique enumeration and the MRF compile — the per-query work that does
-// not depend on any index — are hoisted out so a scatter-gather router can
-// pay them once per query instead of once per shard. Prepare and the
-// Prepared searches are read-only on engine and model; a Prepared query is
-// invalidated by any corpus mutation (its compiled weights are
-// generation-stamped at prepare time).
+// not depend on which index is searched — are hoisted out so a
+// scatter-gather router pays them once per query instead of once per
+// shard. Prepare and the Prepared searches are read-only on engine and
+// model; a Prepared query is invalidated by any corpus mutation (its
+// compiled weights are generation-stamped at prepare time).
 type PreparedQuery struct {
-	query   *media.Object
-	cliques []fig.Clique
-	keys    []string // index keys, precomputed so shard lookups do not re-encode
-	cs      *mrf.CliqueSet
+	query *media.Object
+	keys  []string // index keys, precomputed so shard lookups do not re-encode
+	cs    *mrf.CliqueSet
+
+	// elapsed is what Prepare took. The first instrumented search to run
+	// the query books it (spanBooked flips once), so the prepare stage is
+	// recorded once per query however many shards search it.
+	elapsed    time.Duration
+	spanBooked atomic.Bool
 }
 
-// Prepare compiles a query for repeated SearchPrepared/SearchTAPrepared
-// calls. Clique weights are served from the scorer's generation-stamped
-// cache — the same corr.Stats.CliqueWeight the index stores, so prepared
-// searches score identically to Search (see cliqueWeight).
+// Prepare compiles a query for the Prepared searches — the query side of
+// every indexed search, Search and SearchTA included. The Eq. 9 clique
+// weights come from this engine's index where the clique is indexed and
+// its stored weight is current (see cliqueWeight), so on a sharded
+// deployment the caller must hold this engine's index against inserts for
+// the duration of the call.
 func (e *Engine) Prepare(q *media.Object) *PreparedQuery {
+	start := time.Now()
 	cliques := e.QueryCliques(q)
 	keys := make([]string, len(cliques))
 	for i, c := range cliques {
@@ -208,12 +201,46 @@ func (e *Engine) Prepare(q *media.Object) *PreparedQuery {
 	}
 	var weights []float64
 	if e.Scorer.Params.UseCorS {
+		gen := e.Model.Generation()
 		weights = make([]float64, len(cliques))
 		for i, c := range cliques {
-			weights[i] = e.Scorer.CorS(c)
+			weights[i] = e.cliqueWeight(c, keys[i], gen)
 		}
 	}
-	return &PreparedQuery{query: q, cliques: cliques, keys: keys, cs: e.Scorer.Compile(cliques, weights)}
+	p := &PreparedQuery{query: q, keys: keys, cs: e.Scorer.Compile(cliques, weights)}
+	p.elapsed = time.Since(start)
+	return p
+}
+
+// cliqueWeight resolves one query clique's Eq. 9 weight at the given
+// statistics generation: the index-stored value when the clique is indexed
+// here and the value is current, the scorer's (generation-stamped) cache
+// otherwise — for unindexed cliques, and for indexed ones whose stored
+// weight predates the current generation (after an Insert, entries the
+// insert did not touch hold weights of the pre-insert corpus; serving
+// those would make the indexed paths diverge from SearchScan). Both
+// sources compute corr.Stats.CliqueWeight, so which one serves is
+// unobservable in scores; the index is preferred because a query's cliques
+// are rarely in the scorer's cache and always cost a statistics pass there.
+func (e *Engine) cliqueWeight(c fig.Clique, key string, gen uint64) float64 {
+	if e.Index != nil {
+		if entry, ok := e.Index.LookupKey(key); ok {
+			if w, ok := entry.CorSAt(gen); ok {
+				return w
+			}
+		}
+	}
+	return e.Scorer.CorS(c)
+}
+
+// beginPrepared opens the trace of one prepared search. The first search
+// to run p books p's prepare span into its trace — stage and total both.
+func (e *Engine) beginPrepared(path string, p *PreparedQuery) *obs.QueryTrace {
+	tr := e.metrics.begin(path)
+	if tr != nil && p.spanBooked.CompareAndSwap(false, true) {
+		tr.Add(obs.StagePrepare, p.elapsed)
+	}
+	return tr
 }
 
 // SearchPrepared is Search with the query-side work already done: only the
@@ -224,14 +251,14 @@ func (e *Engine) SearchPrepared(p *PreparedQuery, k int, exclude media.ObjectID)
 	return out
 }
 
-// SearchPreparedContext is SearchPrepared under a context — the per-shard
-// leg of the router's SearchContext. The prepare stage was paid in
-// Prepare, so the trace records only gather/score/merge.
+// SearchPreparedContext is SearchPrepared under a context — the one body
+// of the indexed search: gather the query cliques' posting lists from this
+// engine's index, give every candidate the full MRF score, keep the top k.
 func (e *Engine) SearchPreparedContext(ctx context.Context, p *PreparedQuery, k int, exclude media.ObjectID) ([]topk.Item, error) {
 	if e.Index == nil {
 		return e.SearchScanContext(ctx, p.query, k, exclude)
 	}
-	tr := e.metrics.begin(obs.PathIndex)
+	tr := e.beginPrepared(obs.PathIndex, p)
 	acc := getAccum()
 	defer putAccum(acc)
 	st := tr.Begin()
@@ -250,15 +277,15 @@ func (e *Engine) SearchTAPrepared(p *PreparedQuery, k int, exclude media.ObjectI
 	return out
 }
 
-// SearchTAPreparedContext is SearchTAPrepared under a context — the
-// per-shard leg of the router's SearchTAContext. Cancellation follows the
+// SearchTAPreparedContext is SearchTAPrepared under a context — the one
+// body of the Algorithm 1 threshold search. Cancellation follows the
 // SearchContext contract: on a done context the partial lists are
 // discarded and ctx.Err() comes back.
 func (e *Engine) SearchTAPreparedContext(ctx context.Context, p *PreparedQuery, k int, exclude media.ObjectID) ([]topk.Item, error) {
 	if e.Index == nil {
 		return e.SearchScanContext(ctx, p.query, k, exclude)
 	}
-	tr := e.metrics.begin(obs.PathTA)
+	tr := e.beginPrepared(obs.PathTA, p)
 	acc := getAccum()
 	defer putAccum(acc)
 	st := tr.Begin()
@@ -286,40 +313,6 @@ func (e *Engine) SearchTAPreparedContext(ctx context.Context, p *PreparedQuery, 
 	tr.End(obs.StageMerge, st)
 	e.metrics.finish(tr)
 	return out, nil
-}
-
-// compile builds the query's compiled clique set, serving the Eq. 9 CorS
-// weights from the inverted index where the clique is indexed (the stored
-// value is exactly corr.Stats.CliqueWeight, the quantity the scorer would
-// recompute) and falling back to the scorer's cache for unindexed cliques
-// — or for indexed cliques whose stored weight predates the current
-// statistics generation (after an Insert, entries the insert did not touch
-// hold weights of the pre-insert corpus; serving those would make the
-// indexed paths diverge from the scorer and from SearchScan). entries must
-// be aligned with cliques, nil marking an unindexed clique.
-func (e *Engine) compile(cliques []fig.Clique, entries []*index.Entry) *mrf.CliqueSet {
-	var weights []float64
-	if e.Scorer.Params.UseCorS {
-		gen := e.Model.Generation()
-		weights = make([]float64, len(cliques))
-		for i, c := range cliques {
-			weights[i] = e.cliqueWeight(c, entries[i], gen)
-		}
-	}
-	return e.Scorer.Compile(cliques, weights)
-}
-
-// cliqueWeight resolves one query clique's Eq. 9 weight at the given
-// statistics generation: the index-stored value when it is current, the
-// scorer's (generation-stamped) cache otherwise. Both sources compute
-// corr.Stats.CliqueWeight, so which one serves is unobservable in scores.
-func (e *Engine) cliqueWeight(c fig.Clique, entry *index.Entry, gen uint64) float64 {
-	if entry != nil {
-		if w, ok := entry.CorSAt(gen); ok {
-			return w
-		}
-	}
-	return e.Scorer.CorS(c)
 }
 
 // cancelStride is how many candidates a scoring loop processes between
@@ -429,37 +422,7 @@ func (e *Engine) SearchTAContext(ctx context.Context, q *media.Object, k int, ex
 	if e.Index == nil {
 		return e.SearchScanContext(ctx, q, k, exclude)
 	}
-	tr := e.metrics.begin(obs.PathTA)
-	st := tr.Begin()
-	cliques := e.QueryCliques(q)
-	tr.End(obs.StagePrepare, st)
-	acc := getAccum()
-	defer putAccum(acc)
-	st = tr.Begin()
-	acc.lookup(e.Index, cliques)
-	tr.End(obs.StageGather, st)
-	st = tr.Begin()
-	cs := e.compile(cliques, acc.entries)
-	tr.End(obs.StagePrepare, st)
-	if e.pruning != PruneOff {
-		st = tr.Begin()
-		out, err := e.searchTALazy(ctx, cs, acc.entries, exclude, k, tr)
-		tr.End(obs.StageScore, st)
-		e.metrics.finish(tr)
-		return out, err
-	}
-	st = tr.Begin()
-	lists, err := e.cliqueLists(ctx, cs, acc.entries, exclude, true)
-	tr.End(obs.StageScore, st)
-	if err != nil {
-		e.metrics.finish(tr)
-		return nil, err
-	}
-	st = tr.Begin()
-	out := topk.ThresholdMerge(lists, k)
-	tr.End(obs.StageMerge, st)
-	e.metrics.finish(tr)
-	return out, nil
+	return e.SearchTAPreparedContext(ctx, e.Prepare(q), k, exclude)
 }
 
 // cliqueLists scores each indexed query clique's posting list with that
@@ -643,12 +606,11 @@ func (e *Engine) SearchMergeFullContext(ctx context.Context, q *media.Object, k 
 	if e.Index == nil {
 		return e.SearchScanContext(ctx, q, k, exclude)
 	}
-	cliques := e.QueryCliques(q)
+	p := e.Prepare(q)
 	acc := getAccum()
 	defer putAccum(acc)
-	acc.lookup(e.Index, cliques)
-	cs := e.compile(cliques, acc.entries)
-	lists, err := e.cliqueLists(ctx, cs, acc.entries, exclude, false)
+	acc.lookupKeys(e.Index, p.keys)
+	lists, err := e.cliqueLists(ctx, p.cs, acc.entries, exclude, false)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
+	"figfusion/internal/api"
 	"figfusion/internal/obs"
 )
 
@@ -90,13 +91,13 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		}
 		if err := s.adm.acquire(r.Context()); err != nil {
 			if errors.Is(err, errShed) {
-				writeError(w, http.StatusServiceUnavailable, CodeUnavailable,
+				writeError(w, http.StatusServiceUnavailable, api.CodeUnavailable,
 					"overloaded: %d requests executing and %d queued; retry with backoff",
 					s.opts.MaxInflight, s.opts.MaxQueue)
 			} else {
 				// The client went away while queued; the envelope is a
 				// formality nobody reads, but the slot accounting matters.
-				writeError(w, http.StatusServiceUnavailable, CodeUnavailable,
+				writeError(w, http.StatusServiceUnavailable, api.CodeUnavailable,
 					"request abandoned while queued for admission: %v", err)
 			}
 			return

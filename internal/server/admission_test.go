@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"figfusion/internal/api"
 	"figfusion/internal/obs"
 )
 
@@ -93,7 +94,7 @@ func TestAdmissionShedHTTP(t *testing.T) {
 	var wg sync.WaitGroup
 	codes := make([]int, burst)
 	retryAfter := make([]string, burst)
-	envelopes := make([]ErrorResponse, burst)
+	envelopes := make([]api.ErrorResponse, burst)
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -113,8 +114,8 @@ func TestAdmissionShedHTTP(t *testing.T) {
 			t.Errorf("burst %d: status = %d, want 503", i, codes[i])
 			continue
 		}
-		if envelopes[i].Error.Code != CodeUnavailable {
-			t.Errorf("burst %d: code = %q, want %q", i, envelopes[i].Error.Code, CodeUnavailable)
+		if envelopes[i].Error.Code != api.CodeUnavailable {
+			t.Errorf("burst %d: code = %q, want %q", i, envelopes[i].Error.Code, api.CodeUnavailable)
 		}
 		if retryAfter[i] == "" {
 			t.Errorf("burst %d: shed 503 missing Retry-After", i)

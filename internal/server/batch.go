@@ -7,14 +7,12 @@ import (
 	"figfusion/internal/api"
 	"figfusion/internal/media"
 	"figfusion/internal/retrieval"
-	"figfusion/internal/topk"
 )
 
 // handleBatch serves POST /v1/search/batch: up to api.MaxBatchQueries wire
 // searches answered in order from one HTTP request. One admission slot,
-// one request budget and one query-resolution view cover the whole batch,
-// and the single-engine path prepares each query once and scores it under
-// one read lock — the Engine.Prepare amortization. Every entry of the
+// one request budget and one query-resolution view cover the whole batch;
+// each query then runs exactly as it would alone. Every entry of the
 // response is byte-identical to what POST /v1/search would have answered
 // for that query alone: same resolution, same (deterministic) scoring,
 // same JSON rendering. The batch validates and resolves completely before
@@ -23,21 +21,21 @@ import (
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchSearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "bad JSON: %v", err)
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "bad JSON: %v", err)
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "batch must carry at least one query")
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "batch must carry at least one query")
 		return
 	}
 	if len(req.Queries) > api.MaxBatchQueries {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument,
 			"batch carries %d queries; the limit is %d", len(req.Queries), api.MaxBatchQueries)
 		return
 	}
 	for i := range req.Queries {
 		if k := req.Queries[i].K; k < 1 || k > 1000 {
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument,
+			writeError(w, http.StatusBadRequest, api.CodeInvalidArgument,
 				"query %d: k must be in [1,1000], got %d", i, k)
 			return
 		}
@@ -48,7 +46,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	queries := make([]*media.Object, len(req.Queries))
 	excludes := make([]media.ObjectID, len(req.Queries))
 	rerrIndex, rerrMsg := -1, ""
-	s.view(func() {
+	s.backend.View(func() {
 		corpus := s.model.Stats.Corpus()
 		for i := range req.Queries {
 			q, err := api.ResolveQuery(corpus, &req.Queries[i])
@@ -64,48 +62,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	if rerrIndex >= 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "query %d: %s", rerrIndex, rerrMsg)
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "query %d: %s", rerrIndex, rerrMsg)
 		return
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	resp := api.BatchSearchResponse{Results: make([]api.WireSearchResponse, len(req.Queries))}
-	if s.engine != nil {
-		// Single-engine amortization: one read lock for the whole batch,
-		// one Prepare per query — the clique enumeration and MRF compile
-		// are paid once per query instead of once per HTTP round trip, and
-		// the lock is taken once instead of per query.
-		err := func() error {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			for i, q := range queries {
-				p := s.engine.Prepare(q)
-				var items []topk.Item
-				var err error
-				if req.Queries[i].TA {
-					items, err = s.engine.SearchTAPreparedContext(ctx, p, req.Queries[i].K, excludes[i])
-				} else {
-					items, err = s.engine.SearchPreparedContext(ctx, p, req.Queries[i].K, excludes[i])
-				}
-				if err != nil {
-					return err
-				}
-				resp.Results[i] = wireResponse(items, false)
-			}
-			return nil
-		}()
-		if err != nil {
-			s.writeSearchError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	// Sharded and cluster backends carry their own locking and per-shard
-	// prepared queries; the batch still amortizes the HTTP round trip, the
-	// admission slot and the resolution view.
 	for i, q := range queries {
-		items, partial, err := s.dispatchSearch(ctx, q, req.Queries[i].K, excludes[i], req.Queries[i].TA)
+		items, partial, err := s.backend.Query(ctx, q, req.Queries[i].K, excludes[i], req.Queries[i].TA)
 		if err != nil {
 			s.writeSearchError(w, err)
 			return

@@ -107,7 +107,7 @@ func TestBatchByteIdentityAcrossInsert(t *testing.T) {
 	h := s.Handler()
 	queries := batchQueries()
 	assertBatchByteIdentity(t, h, queries)
-	ins, err := json.Marshal(InsertRequest{Tags: []string{"topic00tag00", "topic00tag01"}, Month: 3})
+	ins, err := json.Marshal(api.InsertRequest{Tags: []string{"topic00tag00", "topic00tag01"}, Month: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +143,13 @@ func TestBatchValidation(t *testing.T) {
 		{"unresolvable", []byte(`{"queries":[{"id":1,"k":3},{"id":999999,"k":3}]}`), "query 1"},
 	}
 	for _, tc := range cases {
-		var resp ErrorResponse
+		var resp api.ErrorResponse
 		code := doJSON(t, h, "POST", "/v1/search/batch", tc.body, &resp)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, code)
 			continue
 		}
-		if resp.Error.Code != CodeInvalidArgument {
+		if resp.Error.Code != api.CodeInvalidArgument {
 			t.Errorf("%s: code = %q", tc.name, resp.Error.Code)
 		}
 		if tc.wantMsg != "" && !bytes.Contains([]byte(resp.Error.Message), []byte(tc.wantMsg)) {

@@ -173,25 +173,15 @@ func (c *coalescer) settle(gen uint64, key searchKey, f *flight) {
 	}
 }
 
-// dispatchSearch routes one resolved query to the backend's indexed or TA
-// path — the uncoalesced execution primitive shared by the coalescer, the
-// batch handler and the degraded-follower fallback.
-func (s *Server) dispatchSearch(ctx context.Context, q *media.Object, k int, exclude media.ObjectID, ta bool) ([]topk.Item, bool, error) {
-	if ta {
-		return s.searchTA(ctx, q, k, exclude)
-	}
-	return s.search(ctx, q, k, exclude)
-}
-
 // coalescedSearch runs one search through the coalescer when it is
 // enabled; otherwise straight through to the backend.
 func (s *Server) coalescedSearch(ctx context.Context, q *media.Object, k int, exclude media.ObjectID, ta bool) ([]topk.Item, bool, error) {
 	if s.coal == nil {
-		return s.dispatchSearch(ctx, q, k, exclude, ta)
+		return s.backend.Query(ctx, q, k, exclude, ta)
 	}
 	key := searchKey{query: canonicalQuery(q), k: k, exclude: int64(exclude), ta: ta}
 	return s.coal.do(ctx, key, func(ctx context.Context) ([]topk.Item, bool, error) {
-		return s.dispatchSearch(ctx, q, k, exclude, ta)
+		return s.backend.Query(ctx, q, k, exclude, ta)
 	})
 }
 

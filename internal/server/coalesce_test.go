@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"figfusion/internal/api"
 	"figfusion/internal/topk"
 )
 
@@ -189,7 +190,7 @@ func TestCoalescedSearchHTTP(t *testing.T) {
 
 	// An insert bumps the corpus-global generation: the cached entry is
 	// stale and the next identical query runs the engine again.
-	ins, err := json.Marshal(InsertRequest{Tags: []string{"topic00tag00"}, Month: 1})
+	ins, err := json.Marshal(api.InsertRequest{Tags: []string{"topic00tag00"}, Month: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"figfusion/internal/api"
 	"figfusion/internal/cluster"
 	"figfusion/internal/dataset"
 	"figfusion/internal/topk"
@@ -22,10 +23,10 @@ var errDown = errors.New("node down")
 // a one-node cluster server into the degraded-cluster fixture.
 type downBackend struct{}
 
-func (downBackend) Search(ctx context.Context, req *cluster.SearchRequest) ([]topk.Item, error) {
+func (downBackend) Search(ctx context.Context, req *api.SearchRequest) ([]topk.Item, error) {
 	return nil, errDown
 }
-func (downBackend) Insert(ctx context.Context, req *cluster.InsertRequest) (int64, error) {
+func (downBackend) Insert(ctx context.Context, req *api.InsertRequest) (int64, error) {
 	return 0, errDown
 }
 func (downBackend) Objects(ctx context.Context) (int, error) { return 0, errDown }
@@ -73,14 +74,14 @@ func TestErrorEnvelopeShapes(t *testing.T) {
 			name:    "degraded cluster",
 			handler: NewCluster(degraded, DefaultOptions()).Handler(),
 			method:  "GET", target: "/v1/search?id=5&k=4",
-			status: http.StatusServiceUnavailable, code: CodeUnavailable,
+			status: http.StatusServiceUnavailable, code: api.CodeUnavailable,
 			wantRetryAfter: true,
 		},
 		{
 			name:    "query timeout",
 			handler: func() http.Handler { s, _ := testShardedServerOpts(t, 2, timeoutOpts); return s.Handler() }(),
 			method:  "GET", target: "/v1/search?id=5&k=4",
-			status: http.StatusGatewayTimeout, code: CodeDeadlineExceeded,
+			status: http.StatusGatewayTimeout, code: api.CodeDeadlineExceeded,
 			wantRetryAfter: false,
 		},
 		{
@@ -88,7 +89,7 @@ func TestErrorEnvelopeShapes(t *testing.T) {
 			handler: func() http.Handler { s, _ := testServer(t); return s.Handler() }(),
 			method:  "POST", target: "/v1/objects",
 			body:   `{"tags":["topic00tag00"],"month":1,"expect":7}`,
-			status: http.StatusConflict, code: CodeConflict,
+			status: http.StatusConflict, code: api.CodeConflict,
 			wantRetryAfter: false,
 		},
 	}
@@ -105,7 +106,7 @@ func TestErrorEnvelopeShapes(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d (body %s)", tc.name, rec.Code, tc.status, rec.Body.String())
 			continue
 		}
-		var resp ErrorResponse
+		var resp api.ErrorResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Errorf("%s: bad JSON %q: %v", tc.name, rec.Body.String(), err)
 			continue

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	"figfusion/internal/api"
 	"figfusion/internal/dataset"
 	"figfusion/internal/shard"
 )
@@ -80,13 +81,13 @@ func TestInsertMalformed(t *testing.T) {
 		{"empty names", `{"tags":["",""],"users":[""]}`},
 	}
 	for _, tc := range cases {
-		var resp ErrorResponse
+		var resp api.ErrorResponse
 		code := doJSON(t, s.Handler(), "POST", "/v1/objects", []byte(tc.body), &resp)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, code)
 		}
-		if resp.Error.Code != CodeInvalidArgument {
-			t.Errorf("%s: error code = %q, want %q", tc.name, resp.Error.Code, CodeInvalidArgument)
+		if resp.Error.Code != api.CodeInvalidArgument {
+			t.Errorf("%s: error code = %q, want %q", tc.name, resp.Error.Code, api.CodeInvalidArgument)
 		}
 		if resp.Error.Message == "" {
 			t.Errorf("%s: error message missing", tc.name)
@@ -97,11 +98,11 @@ func TestInsertMalformed(t *testing.T) {
 // TestSearchMissingParams pins the bare-request errors on the GET routes.
 func TestSearchMissingParams(t *testing.T) {
 	s, _ := testServer(t)
-	var resp ErrorResponse
+	var resp api.ErrorResponse
 	if code := doJSON(t, s.Handler(), "GET", "/v1/search", nil, &resp); code != http.StatusBadRequest {
 		t.Errorf("/v1/search: status = %d, want 400", code)
 	}
-	if resp.Error.Code != CodeInvalidArgument || resp.Error.Message == "" {
+	if resp.Error.Code != api.CodeInvalidArgument || resp.Error.Message == "" {
 		t.Errorf("/v1/search: envelope = %+v", resp.Error)
 	}
 	// text= that normalizes to nothing behaves like unknown text.
@@ -154,22 +155,22 @@ func TestShardedHealthz(t *testing.T) {
 // search→insert→search flow the single-engine test uses.
 func TestShardedEndToEnd(t *testing.T) {
 	s, d := testShardedServer(t, 2)
-	var sr SearchResponse
+	var sr api.SearchResponse
 	if code := doJSON(t, s.Handler(), "GET", "/v1/search?id=5&k=4", nil, &sr); code != http.StatusOK {
 		t.Fatalf("search status = %d", code)
 	}
 	if len(sr.Results) == 0 {
 		t.Fatal("no results")
 	}
-	body, _ := json.Marshal(InsertRequest{Tags: []string{"topic00tag00", "topic00tag01"}, Month: 2})
-	var ir InsertResponse
+	body, _ := json.Marshal(api.InsertRequest{Tags: []string{"topic00tag00", "topic00tag01"}, Month: 2})
+	var ir api.InsertResponse
 	if code := doJSON(t, s.Handler(), "POST", "/v1/objects", body, &ir); code != http.StatusCreated {
 		t.Fatalf("insert status = %d", code)
 	}
 	if int(ir.ID) != d.Corpus.Len()-1 {
 		t.Errorf("ID = %d, want %d", ir.ID, d.Corpus.Len()-1)
 	}
-	var sr2 SearchResponse
+	var sr2 api.SearchResponse
 	target := fmt.Sprintf("/v1/search?text=topic00tag00+topic00tag01&k=%d", d.Corpus.Len())
 	if code := doJSON(t, s.Handler(), "GET", target, nil, &sr2); code != http.StatusOK {
 		t.Fatalf("post-insert search status = %d", code)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"figfusion/internal/api"
 	"figfusion/internal/obs"
 )
 
@@ -73,13 +74,13 @@ func (w *envelopeWriter) WriteHeader(status int) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Del("X-Content-Type-Options")
 		w.ResponseWriter.WriteHeader(status)
-		code := CodeNotFound
+		code := api.CodeNotFound
 		msg := "no such route"
 		if status == http.StatusMethodNotAllowed {
-			code = CodeMethodNotAllowed
+			code = api.CodeMethodNotAllowed
 			msg = "method not allowed for this route"
 		}
-		_ = json.NewEncoder(w.ResponseWriter).Encode(ErrorResponse{Error: ErrorBody{Code: code, Message: msg}})
+		_ = json.NewEncoder(w.ResponseWriter).Encode(api.ErrorResponse{Error: api.ErrorBody{Code: code, Message: msg}})
 		return
 	}
 	w.ResponseWriter.WriteHeader(status)
@@ -107,7 +108,7 @@ type MetricsResponse struct {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.reg == nil {
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "metrics are disabled (-metrics=false)")
+		writeError(w, http.StatusServiceUnavailable, api.CodeUnavailable, "metrics are disabled (-metrics=false)")
 		return
 	}
 	slowQueries, slowTotal := s.slow.Snapshot()
@@ -128,7 +129,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // POST /v1/objects.
 func (s *Server) metricsSnapshot() obs.Snapshot {
 	var snap obs.Snapshot
-	s.view(func() { snap = s.reg.Snapshot() })
+	s.backend.View(func() { snap = s.reg.Snapshot() })
 	return snap
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"figfusion/internal/api"
 	"figfusion/internal/dataset"
 	"figfusion/internal/retrieval"
 )
@@ -18,9 +19,21 @@ import (
 // TestMetricsShape drives a known request sequence and pins what
 // /v1/metrics must report afterwards: per-route request/error counters,
 // per-route and per-stage latency histograms with non-zero counts, the
-// query-path counters, and the cache gauges.
+// query-path counters, and the cache gauges — on a standalone server and on
+// a 2-shard one, where every shard searches the query but the query is
+// prepared once.
 func TestMetricsShape(t *testing.T) {
-	s, _ := testServer(t)
+	t.Run("standalone", func(t *testing.T) {
+		s, _ := testServer(t)
+		testMetricsShape(t, s, 1)
+	})
+	t.Run("shards=2", func(t *testing.T) {
+		s, _ := testShardedServer(t, 2)
+		testMetricsShape(t, s, 2)
+	})
+}
+
+func testMetricsShape(t *testing.T, s *Server, shards uint64) {
 	h := s.Handler()
 
 	// Known sequence: 3 good searches, 1 bad search, 1 healthz.
@@ -57,19 +70,28 @@ func TestMetricsShape(t *testing.T) {
 	}
 
 	// Engine-side: the three identical searches coalesce — the first is a
-	// cache miss that runs the indexed path once, the other two are served
-	// from the generation-stamped result cache without touching the engine.
-	if got := m.Counters["retrieval.search.total"]; got != 1 {
-		t.Errorf("retrieval.search.total = %d, want 1", got)
+	// cache miss that runs the indexed path once (one leg per shard), the
+	// other two are served from the generation-stamped result cache without
+	// touching the engine.
+	if got := m.Counters["retrieval.search.total"]; got != shards {
+		t.Errorf("retrieval.search.total = %d, want %d", got, shards)
 	}
-	if got := m.Counters["retrieval.search.path.index"]; got != 1 {
-		t.Errorf("retrieval.search.path.index = %d, want 1", got)
+	if got := m.Counters["retrieval.search.path.index"]; got != shards {
+		t.Errorf("retrieval.search.path.index = %d, want %d", got, shards)
 	}
 	if got := m.Counters["retrieval.candidates.scored"]; got == 0 {
 		t.Error("retrieval.candidates.scored = 0")
 	}
-	if got := m.Histograms["retrieval.search.latency"].Count; got != 1 {
-		t.Errorf("retrieval.search.latency count = %d, want 1", got)
+	if got := m.Histograms["retrieval.search.latency"].Count; got != shards {
+		t.Errorf("retrieval.search.latency count = %d, want %d", got, shards)
+	}
+	// One query reached the engines, so one prepare span — not one per
+	// shard, and not zero.
+	if got := m.Histograms["retrieval.stage.prepare"].Count; got != 1 {
+		t.Errorf("retrieval.stage.prepare count = %d, want 1 (the queries that reached the engines)", got)
+	}
+	if got := m.Histograms["shard.prepare.latency"].Count; got != 1 {
+		t.Errorf("shard.prepare.latency count = %d, want 1", got)
 	}
 	if got := m.Counters["server.coalesce.misses"]; got != 1 {
 		t.Errorf("server.coalesce.misses = %d, want 1", got)
@@ -77,10 +99,8 @@ func TestMetricsShape(t *testing.T) {
 	if got := m.Counters["server.coalesce.hits"]; got != 2 {
 		t.Errorf("server.coalesce.hits = %d, want 2", got)
 	}
-	for _, stage := range []string{"prepare", "score"} {
-		if got := m.Histograms["retrieval.stage."+stage].Count; got == 0 {
-			t.Errorf("retrieval.stage.%s count = 0", stage)
-		}
+	if got := m.Histograms["retrieval.stage.score"].Count; got == 0 {
+		t.Error("retrieval.stage.score count = 0")
 	}
 
 	// Scorer cache gauges are folded in as func gauges.
@@ -119,19 +139,19 @@ func TestMetricsDisabled(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("metrics status = %d, want 503", code)
 	}
-	if resp.Error.Code != CodeUnavailable {
-		t.Errorf("code = %q, want %q", resp.Error.Code, CodeUnavailable)
+	if resp.Error.Code != api.CodeUnavailable {
+		t.Errorf("code = %q, want %q", resp.Error.Code, api.CodeUnavailable)
 	}
 }
 
 // doError performs a request and decodes the error envelope regardless
 // of status class (doJSON skips decoding on 5xx).
-func doError(t *testing.T, h http.Handler, method, target string) (int, ErrorResponse) {
+func doError(t *testing.T, h http.Handler, method, target string) (int, api.ErrorResponse) {
 	t.Helper()
 	req := httptest.NewRequest(method, target, nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	var resp ErrorResponse
+	var resp api.ErrorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("%s %s: bad JSON %q: %v", method, target, rec.Body.String(), err)
 	}
@@ -148,14 +168,14 @@ func TestQueryTimeout(t *testing.T) {
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", code)
 	}
-	if resp.Error.Code != CodeDeadlineExceeded {
-		t.Errorf("code = %q, want %q", resp.Error.Code, CodeDeadlineExceeded)
+	if resp.Error.Code != api.CodeDeadlineExceeded {
+		t.Errorf("code = %q, want %q", resp.Error.Code, api.CodeDeadlineExceeded)
 	}
 	// Timeouts never enter the coalescer's result cache: the identical
 	// retry fails with the same budget rather than replaying a stale error.
 	if code, resp := doError(t, s.Handler(), "GET", "/v1/search?id=5&k=4"); code != http.StatusGatewayTimeout {
 		t.Errorf("repeat search status = %d, want 504", code)
-	} else if resp.Error.Code != CodeDeadlineExceeded {
+	} else if resp.Error.Code != api.CodeDeadlineExceeded {
 		t.Errorf("repeat search code = %q", resp.Error.Code)
 	}
 }
@@ -169,13 +189,13 @@ func TestEnvelopeOnMuxErrors(t *testing.T) {
 		status         int
 		code           string
 	}{
-		{"GET", "/v1/nope", http.StatusNotFound, CodeNotFound},
+		{"GET", "/v1/nope", http.StatusNotFound, api.CodeNotFound},
 		// The pre-v1 unversioned routes are plain unknown paths now.
-		{"GET", "/search?id=5&k=2", http.StatusNotFound, CodeNotFound},
-		{"DELETE", "/v1/search", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"GET", "/search?id=5&k=2", http.StatusNotFound, api.CodeNotFound},
+		{"DELETE", "/v1/search", http.StatusMethodNotAllowed, api.CodeMethodNotAllowed},
 	}
 	for _, tc := range cases {
-		var resp ErrorResponse
+		var resp api.ErrorResponse
 		if got := doJSON(t, s.Handler(), tc.method, tc.target, nil, &resp); got != tc.status {
 			t.Errorf("%s %s: status = %d, want %d", tc.method, tc.target, got, tc.status)
 		}
@@ -188,18 +208,18 @@ func TestEnvelopeOnMuxErrors(t *testing.T) {
 // TestObjectV1PathParam: /v1/objects/{id} resolves via the path value.
 func TestObjectV1PathParam(t *testing.T) {
 	s, _ := testServer(t)
-	var resp ObjectResponse
+	var resp api.ObjectResponse
 	if code := doJSON(t, s.Handler(), "GET", "/v1/objects/7", nil, &resp); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	if resp.ID != 7 {
 		t.Errorf("ID = %d", resp.ID)
 	}
-	var eresp ErrorResponse
+	var eresp api.ErrorResponse
 	if code := doJSON(t, s.Handler(), "GET", "/v1/objects/zzz", nil, &eresp); code != http.StatusNotFound {
 		t.Errorf("bad id status = %d", code)
 	}
-	if eresp.Error.Code != CodeNotFound {
+	if eresp.Error.Code != api.CodeNotFound {
 		t.Errorf("bad id code = %q", eresp.Error.Code)
 	}
 }

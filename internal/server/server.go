@@ -21,11 +21,10 @@
 //
 // The wire contract — request/response structs, the error envelope with
 // its machine-readable codes (invalid_argument, not_found,
-// method_not_allowed, conflict, unavailable, deadline_exceeded),
-// and header conventions — lives in internal/api; this package re-exports
-// the names it historically declared as aliases. Search requests run
-// under a per-request budget (Options.QueryTimeout): on expiry the engine
-// is cancelled between scoring stripes and the handler answers
+// method_not_allowed, conflict, unavailable, deadline_exceeded), and header
+// conventions — lives in internal/api. Search requests run under a
+// per-request budget (Options.QueryTimeout): on expiry the engine is
+// cancelled between scoring stripes and the handler answers
 // 504/deadline_exceeded.
 //
 // Three mechanisms keep the serving path standing under live traffic (see
@@ -40,19 +39,19 @@
 //     generation stamp — any insert bumps the corpus-global model
 //     generation, so the cache invalidates automatically (the floatcache
 //     idiom).
-//   - Batching (POST /v1/search/batch): one request carries many queries;
-//     the single-engine path amortizes Engine.Prepare across them. Every
+//   - Batching (POST /v1/search/batch): one request carries many queries
+//     under one admission slot, one budget and one resolution view. Every
 //     answer is byte-identical to the sequential uncached route.
 //
-// The server fronts either a single retrieval.Engine (New) or a sharded
-// shard.Router (NewSharded). In single-engine mode searches and
-// recommendations run concurrently under the server's read lock and
-// ingestion takes its write lock (Engine.Insert mutates global statistics
-// and caches). In sharded mode the router is the concurrency authority —
-// scatter-gather searches and routed inserts carry their own locking, so
-// an insert blocks searches only for the global-statistics phase and the
-// one shard it lands on — and the server pins corpus reads (query parsing,
-// result formatting) with the router's View.
+// The server holds one backend and has no lock of its own. There are two
+// backends: a shard.Router over the engines of this process (NewSharded;
+// New wraps a single prebuilt engine as a one-shard router, so a
+// standalone server is the same stack) and a cluster.Cluster over remote
+// nodes (NewCluster). The backend is the concurrency authority: searches
+// and routed inserts carry their own locking — on a router the statistics
+// lock plus per-shard locks, so an insert blocks searches only for the
+// global-statistics phase and the one shard it lands on — and the handlers
+// pin corpus reads (query parsing, result formatting) with its View.
 package server
 
 import (
@@ -60,10 +59,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 
 	"figfusion/internal/api"
 	"figfusion/internal/cluster"
@@ -76,13 +75,37 @@ import (
 	"figfusion/internal/topk"
 )
 
-// Server wires an engine, a shard router, or a cluster front-end into an
-// http.Handler. Construct with New, NewSharded, or NewCluster.
+// backend is what the handlers need from a serving tier. *shard.Router and
+// *cluster.Cluster both satisfy it.
+type backend interface {
+	// Model is the corpus-global model queries resolve against; reads of
+	// its corpus must be pinned with View.
+	Model() *corr.Model
+	// View runs fn with the corpus-global state pinned against inserts. fn
+	// must not call Query or InsertContext (recursive read-locking
+	// deadlocks once a writer queues); handlers that need both take the
+	// view in separate non-overlapping stages instead.
+	View(fn func())
+	// Query runs one top-k search under the backend's own locking,
+	// honouring ctx between scoring stripes; ta selects the literal
+	// Algorithm 1 threshold path. The bool is the degraded-mode flag: true
+	// when a cluster answered from a subset of its nodes.
+	Query(ctx context.Context, q *media.Object, k int, exclude media.ObjectID, ta bool) ([]topk.Item, bool, error)
+	// InsertContext ingests one object. expect >= 0 is a generation stamp:
+	// the insert applies only if the corpus holds exactly that many objects.
+	InsertContext(ctx context.Context, feats []media.Feature, counts []int, month int, expect int) (*media.Object, error)
+	// HealthFields are the backend's own /v1/healthz fields; called under
+	// View.
+	HealthFields() map[string]interface{}
+	// StreamSnapshot writes the backend's snapshot set, or refuses before
+	// writing anything with cluster.ErrNoSnapshot.
+	StreamSnapshot(w io.Writer) error
+}
+
+// Server wires a backend into an http.Handler. Construct with New,
+// NewSharded, or NewCluster.
 type Server struct {
-	mu      sync.RWMutex // single-engine mode: searches share, inserts exclude
-	engine  *retrieval.Engine
-	router  *shard.Router
-	cluster *cluster.Cluster
+	backend backend
 	model   *corr.Model
 	rec     *recommend.Recommender
 	opts    Options
@@ -92,33 +115,21 @@ type Server struct {
 	coal    *coalescer    // nil when Options.Coalesce is off
 }
 
-// New returns a server over a single engine. The recommendation endpoint
-// uses a temporal (FIG-T) recommender over the same model. When
-// opts.Metrics is set (the DefaultOptions state) the server builds an
-// observability registry and attaches it to the engine.
+// New returns a standalone server: the prebuilt engine, which must carry
+// an index, serves as the one shard of a router (see NewSharded).
 func New(engine *retrieval.Engine, opts Options) *Server {
-	// recommend.New only fails on invalid parameters; defaults are valid.
-	rec, _ := recommend.New(engine.Model, recommend.Config{Temporal: true})
-	s := &Server{engine: engine, model: engine.Model, rec: rec, opts: opts}
-	if opts.Metrics {
-		s.reg = obs.NewRegistry()
-		s.slow = obs.NewSlowLog(64, opts.SlowQuery)
-		engine.SetMetrics(s.reg, s.slow)
-	}
-	return s.initServing()
+	return NewSharded(shard.FromEngine(engine), opts)
 }
 
-// NewSharded returns a server over a scatter-gather shard router; /healthz
-// additionally reports per-shard object, clique and posting counts.
+// NewSharded returns a server over a scatter-gather shard router. When
+// opts.Metrics is set (the DefaultOptions state) the server builds an
+// observability registry and attaches it to the router and its engines.
 func NewSharded(router *shard.Router, opts Options) *Server {
-	rec, _ := recommend.New(router.Model(), recommend.Config{Temporal: true})
-	s := &Server{router: router, model: router.Model(), rec: rec, opts: opts}
-	if opts.Metrics {
-		s.reg = obs.NewRegistry()
-		s.slow = obs.NewSlowLog(64, opts.SlowQuery)
+	s := newServer(router, opts)
+	if s.reg != nil {
 		router.SetMetrics(s.reg, s.slow)
 	}
-	return s.initServing()
+	return s
 }
 
 // NewCluster returns a server over a multi-node cluster front-end: the
@@ -127,26 +138,30 @@ func NewSharded(router *shard.Router, opts Options) *Server {
 // down), inserts replicate to every node with generation stamps, and the
 // recommendation endpoint runs against the router's own mirror model.
 func NewCluster(c *cluster.Cluster, opts Options) *Server {
-	rec, _ := recommend.New(c.Model(), recommend.Config{Temporal: true})
-	s := &Server{cluster: c, model: c.Model(), rec: rec, opts: opts}
+	s := newServer(c, opts)
+	if s.reg != nil {
+		c.SetMetrics(s.reg)
+	}
+	return s
+}
+
+// newServer builds everything that does not depend on which backend
+// serves: the temporal (FIG-T) recommender over the backend's model, the
+// observability registry, and the live-traffic machinery — admission
+// gates the handler, coalescing keys on the corpus-global model
+// generation every backend's model carries.
+func newServer(b backend, opts Options) *Server {
+	// recommend.New only fails on invalid parameters; defaults are valid.
+	rec, _ := recommend.New(b.Model(), recommend.Config{Temporal: true})
+	s := &Server{backend: b, model: b.Model(), rec: rec, opts: opts}
 	if opts.Metrics {
 		s.reg = obs.NewRegistry()
 		s.slow = obs.NewSlowLog(64, opts.SlowQuery)
-		c.SetMetrics(s.reg)
 	}
-	return s.initServing()
-}
-
-// initServing attaches the live-traffic machinery — admission control and
-// the coalescing result cache — per Options. Both are generic over the
-// backend: admission gates the handler, coalescing keys on the
-// corpus-global model generation shared by engine, router and cluster
-// mirror alike.
-func (s *Server) initServing() *Server {
-	if s.opts.MaxInflight > 0 {
-		s.adm = newAdmission(s.opts.MaxInflight, s.opts.MaxQueue, s.reg)
+	if opts.MaxInflight > 0 {
+		s.adm = newAdmission(opts.MaxInflight, opts.MaxQueue, s.reg)
 	}
-	if s.opts.Coalesce {
+	if opts.Coalesce {
 		s.coal = newCoalescer(coalesceCap, s.model.Generation, s.reg)
 	}
 	return s
@@ -155,63 +170,6 @@ func (s *Server) initServing() *Server {
 // Registry exposes the server's metrics registry (nil when metrics are
 // disabled) — tests and embedding binaries read it directly.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// view runs fn while corpus-global state (the corpus object slice, interned
-// features, statistics) is pinned against inserts: under the server's read
-// lock in single-engine mode, under the router's statistics read lock in
-// sharded mode. fn must not call search or insert (recursive read-locking
-// deadlocks once a writer queues); handlers that need both take the lock
-// in separate non-overlapping stages instead.
-func (s *Server) view(fn func()) {
-	switch {
-	case s.cluster != nil:
-		s.cluster.View(fn)
-	case s.router != nil:
-		s.router.View(fn)
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		fn()
-	}
-}
-
-// search dispatches one top-k search to the backend under its read
-// locking, honouring ctx between scoring stripes. The bool is the
-// degraded-mode flag: true when a cluster answered from a subset of its
-// nodes (single-engine and sharded answers are never partial).
-func (s *Server) search(ctx context.Context, q *media.Object, k int, exclude media.ObjectID) ([]topk.Item, bool, error) {
-	switch {
-	case s.cluster != nil:
-		res, err := s.cluster.SearchContext(ctx, q, k, exclude)
-		return res.Items, res.Partial, err
-	case s.router != nil:
-		items, err := s.router.SearchContext(ctx, q, k, exclude)
-		return items, false, err
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		items, err := s.engine.SearchContext(ctx, q, k, exclude)
-		return items, false, err
-	}
-}
-
-// searchTA dispatches the literal Algorithm 1 threshold path — the wire
-// protocol's ta selector.
-func (s *Server) searchTA(ctx context.Context, q *media.Object, k int, exclude media.ObjectID) ([]topk.Item, bool, error) {
-	switch {
-	case s.cluster != nil:
-		res, err := s.cluster.SearchTAContext(ctx, q, k, exclude)
-		return res.Items, res.Partial, err
-	case s.router != nil:
-		items, err := s.router.SearchTAContext(ctx, q, k, exclude)
-		return items, false, err
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		items, err := s.engine.SearchTAContext(ctx, q, k, exclude)
-		return items, false, err
-	}
-}
 
 // queryContext derives one request's search budget from Options.
 func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelFunc) {
@@ -254,41 +212,6 @@ func (s *Server) Handler() http.Handler {
 	return envelopeHandler{next: mux}
 }
 
-// ResultItem is one search hit.
-type ResultItem = api.ResultItem
-
-// SearchResponse is the GET /v1/search and POST /v1/recommend payload.
-type SearchResponse = api.SearchResponse
-
-// ObjectResponse is the GET /v1/objects/{id} payload.
-type ObjectResponse = api.ObjectResponse
-
-// InsertRequest is the POST /v1/objects payload.
-type InsertRequest = api.InsertRequest
-
-// InsertResponse reports the assigned ID.
-type InsertResponse = api.InsertResponse
-
-// RecommendRequest is the POST /v1/recommend payload.
-type RecommendRequest = api.RecommendRequest
-
-// Error codes of the envelope, re-exported from the api contract.
-const (
-	CodeInvalidArgument  = api.CodeInvalidArgument
-	CodeNotFound         = api.CodeNotFound
-	CodeMethodNotAllowed = api.CodeMethodNotAllowed
-	CodeDeadlineExceeded = api.CodeDeadlineExceeded
-	CodeUnavailable      = api.CodeUnavailable
-	CodeConflict         = api.CodeConflict
-)
-
-// ErrorBody is the envelope's inner object.
-type ErrorBody = api.ErrorBody
-
-// ErrorResponse is the structured error envelope every handler answers
-// with: {"error": {"code": "...", "message": "..."}}.
-type ErrorResponse = api.ErrorResponse
-
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -303,7 +226,7 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	if status == http.StatusServiceUnavailable && w.Header().Get(api.RetryAfterHeader) == "" {
 		w.Header().Set(api.RetryAfterHeader, "1")
 	}
-	writeJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
+	writeJSON(w, status, api.ErrorResponse{Error: api.ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -312,31 +235,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) healthSnapshot() map[string]interface{} {
 	var resp map[string]interface{}
-	s.view(func() {
+	s.backend.View(func() {
 		corpus := s.model.Stats.Corpus()
-		resp = map[string]interface{}{
-			"status":   "ok",
-			"objects":  corpus.Len(),
-			"features": corpus.Dict.Len(),
-		}
-		switch {
-		case s.cluster != nil:
-			resp["nodes"] = s.cluster.NodeInfos()
-		case s.router != nil:
-			// Per-shard locks nest safely under the router's statistics
-			// read lock (inserts never hold a shard lock while waiting on
-			// the statistics lock).
-			infos := s.router.ShardInfos()
-			cliques := 0
-			for _, si := range infos {
-				cliques += si.Cliques
-			}
-			resp["cliques"] = cliques
-			resp["shards"] = infos
-			resp["generation"] = s.router.Generation()
-		case s.engine.Index != nil:
-			resp["cliques"] = s.engine.Index.NumCliques()
-		}
+		resp = s.backend.HealthFields()
+		resp["status"] = "ok"
+		resp["objects"] = corpus.Len()
+		resp["features"] = corpus.Dict.Len()
 	})
 	return resp
 }
@@ -346,7 +250,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("k"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 1 || v > 1000 {
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument, "k must be an integer in [1,1000], got %q", raw)
+			writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "k must be an integer in [1,1000], got %q", raw)
 			return
 		}
 		k = v
@@ -359,14 +263,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	exclude := retrieval.NoExclude
 	label := ""
 	status, errCode, errMsg := 0, "", ""
-	s.view(func() {
+	s.backend.View(func() {
 		corpus := s.model.Stats.Corpus()
 		switch {
 		case r.URL.Query().Get("id") != "":
 			raw := r.URL.Query().Get("id")
 			id, err := strconv.Atoi(raw)
 			if err != nil || id < 0 || id >= corpus.Len() {
-				status, errCode = http.StatusBadRequest, CodeInvalidArgument
+				status, errCode = http.StatusBadRequest, api.CodeInvalidArgument
 				errMsg = fmt.Sprintf("id must identify a corpus object in [0,%d), got %q", corpus.Len(), raw)
 				return
 			}
@@ -378,13 +282,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			var ok bool
 			q, ok = api.TextQuery(corpus, text)
 			if !ok {
-				status, errCode = http.StatusNotFound, CodeNotFound
+				status, errCode = http.StatusNotFound, api.CodeNotFound
 				errMsg = fmt.Sprintf("no term of %q matches the corpus vocabulary", text)
 				return
 			}
 			label = "text:" + text
 		default:
-			status, errCode = http.StatusBadRequest, CodeInvalidArgument
+			status, errCode = http.StatusBadRequest, api.CodeInvalidArgument
 			errMsg = "provide either ?id= or ?text="
 		}
 	})
@@ -399,12 +303,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeSearchError(w, err)
 		return
 	}
-	resp := SearchResponse{Query: label, Results: make([]ResultItem, 0, len(results)), Partial: partial}
-	s.view(func() {
+	resp := api.SearchResponse{Query: label, Results: make([]api.ResultItem, 0, len(results)), Partial: partial}
+	s.backend.View(func() {
 		corpus := s.model.Stats.Corpus()
 		for _, it := range results {
 			o := corpus.Object(it.ID)
-			resp.Results = append(resp.Results, ResultItem{
+			resp.Results = append(resp.Results, api.ResultItem{
 				ID:    int64(o.ID),
 				Score: it.Score,
 				Month: o.Month,
@@ -422,12 +326,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+		writeError(w, http.StatusGatewayTimeout, api.CodeDeadlineExceeded,
 			"search exceeded the %s query budget", s.opts.QueryTimeout)
 	case errors.Is(err, cluster.ErrUnavailable):
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
+		writeError(w, http.StatusServiceUnavailable, api.CodeUnavailable, "%v", err)
 	default:
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "search cancelled: %v", err)
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "search cancelled: %v", err)
 	}
 }
 
@@ -441,20 +345,20 @@ func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
 func (s *Server) handleSearchWire(w http.ResponseWriter, r *http.Request) {
 	var req api.SearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "bad JSON: %v", err)
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "bad JSON: %v", err)
 		return
 	}
 	if req.K < 1 || req.K > 1000 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "k must be in [1,1000], got %d", req.K)
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "k must be in [1,1000], got %d", req.K)
 		return
 	}
 	var q *media.Object
 	var rerr error
-	s.view(func() {
+	s.backend.View(func() {
 		q, rerr = api.ResolveQuery(s.model.Stats.Corpus(), &req)
 	})
 	if rerr != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "%v", rerr)
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "%v", rerr)
 		return
 	}
 	exclude := media.ObjectID(retrieval.NoExclude)
@@ -483,28 +387,25 @@ func wireResponse(results []topk.Item, partial bool) api.WireSearchResponse {
 // handleSnapshot serves GET /v1/admin/snapshot: the node's full snapshot
 // set as one stream (manifest line + length-prefixed FSG1 segments) — the
 // bootstrap source replacement nodes load through shard.LoadSnapshotStream.
-// Only a sharded node can serve it; integrity rides on the segment CRCs
-// the loader verifies.
+// A cluster front-end holds no index and refuses; integrity rides on the
+// segment CRCs the loader verifies.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.router == nil {
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable,
-			"snapshot streaming requires a sharded node (run with -shards or -role shard)")
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	// The status is committed; a mid-stream failure can only truncate the
-	// body, which the loader's length prefixes and segment CRCs catch.
-	_ = s.router.StreamSnapshot(w)
+	// The stream's first byte commits the 200; a failure after it can only
+	// truncate the body, which the loader's length prefixes and segment
+	// CRCs catch. A refusal comes before any byte.
+	if err := s.backend.StreamSnapshot(w); errors.Is(err, cluster.ErrNoSnapshot) {
+		writeError(w, http.StatusServiceUnavailable, api.CodeUnavailable, "%v", err)
+	}
 }
 
 // handleObject serves GET /v1/objects/{id}.
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	raw := r.PathValue("id")
-	var resp ObjectResponse
+	var resp api.ObjectResponse
 	status := 0
 	errMsg := ""
-	s.view(func() {
+	s.backend.View(func() {
 		corpus := s.model.Stats.Corpus()
 		id, err := strconv.Atoi(raw)
 		if err != nil || id < 0 || id >= corpus.Len() {
@@ -513,7 +414,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		o := corpus.Object(media.ObjectID(id))
-		resp = ObjectResponse{
+		resp = api.ObjectResponse{
 			ID:          int64(o.ID),
 			Month:       o.Month,
 			Tags:        featureNames(corpus, o, media.Text, 0),
@@ -522,16 +423,16 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	if status != 0 {
-		writeError(w, status, CodeNotFound, "%s", errMsg)
+		writeError(w, status, api.CodeNotFound, "%s", errMsg)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req InsertRequest
+	var req api.InsertRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "bad JSON: %v", err)
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "bad JSON: %v", err)
 		return
 	}
 	var feats []media.Feature
@@ -542,7 +443,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		var err error
 		feats, counts, err = api.DecodeFeatures(req.Features)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
+			writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "%v", err)
 			return
 		}
 	} else {
@@ -560,70 +461,47 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		add(media.Visual, req.VisualWords)
 	}
 	if len(feats) == 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "object must carry at least one feature")
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "object must carry at least one feature")
 		return
 	}
 	expect := -1
 	if req.Expect != nil {
 		expect = *req.Expect
 	}
-	o, err := s.insert(r.Context(), feats, counts, req.Month, expect)
+	o, err := s.backend.InsertContext(r.Context(), feats, counts, req.Month, expect)
 	if err != nil {
 		var pre *shard.PreconditionError
 		switch {
 		case errors.As(err, &pre) || errors.Is(err, cluster.ErrDiverged):
-			writeError(w, http.StatusConflict, CodeConflict, "insert: %v", err)
+			writeError(w, http.StatusConflict, api.CodeConflict, "insert: %v", err)
 		case errors.Is(err, cluster.ErrUnavailable):
-			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "insert: %v", err)
+			writeError(w, http.StatusServiceUnavailable, api.CodeUnavailable, "insert: %v", err)
 		default:
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument, "insert: %v", err)
+			writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "insert: %v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusCreated, InsertResponse{ID: int64(o.ID)})
-}
-
-// insert dispatches ingestion to the backend. The cluster front-end
-// replicates under its own serialization; the sharded router locks
-// internally (global statistics phase, then the owning shard alone); the
-// single engine mutates global state and takes the server's write lock —
-// a deferred unlock keeps the server serviceable even if Insert panics on
-// corrupt input. expect >= 0 is a generation stamp: the insert applies
-// only if the corpus holds exactly that many objects.
-func (s *Server) insert(ctx context.Context, feats []media.Feature, counts []int, month int, expect int) (*media.Object, error) {
-	switch {
-	case s.cluster != nil:
-		return s.cluster.InsertContext(ctx, feats, counts, month, expect)
-	case s.router != nil:
-		return s.router.InsertAt(feats, counts, month, expect)
-	default:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if got := s.model.Stats.Corpus().Len(); expect >= 0 && got != expect {
-			return nil, &shard.PreconditionError{Objects: got, Expect: expect}
-		}
-		return s.engine.Insert(feats, counts, month)
-	}
+	writeJSON(w, http.StatusCreated, api.InsertResponse{ID: int64(o.ID)})
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	var req RecommendRequest
+	var req api.RecommendRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "bad JSON: %v", err)
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "bad JSON: %v", err)
 		return
 	}
 	if req.K < 1 || req.K > 1000 {
 		req.K = 10
 	}
 	if len(req.History) == 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "history must not be empty")
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "history must not be empty")
 		return
 	}
-	var resp SearchResponse
+	var resp api.SearchResponse
 	status, errMsg := 0, ""
 	// The recommender reads corpus-global statistics throughout scoring, so
 	// the whole request stays pinned in one view.
-	s.view(func() {
+	s.backend.View(func() {
 		corpus := s.model.Stats.Corpus()
 		history := make([]*media.Object, 0, len(req.History))
 		histSet := make(map[media.ObjectID]bool, len(req.History))
@@ -645,10 +523,10 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		results := s.rec.Recommend(history, candidates, req.K, req.Now)
-		resp = SearchResponse{Query: fmt.Sprintf("recommend:%d-item history", len(history))}
+		resp = api.SearchResponse{Query: fmt.Sprintf("recommend:%d-item history", len(history))}
 		for _, it := range results {
 			o := corpus.Object(it.ID)
-			resp.Results = append(resp.Results, ResultItem{
+			resp.Results = append(resp.Results, api.ResultItem{
 				ID:    int64(o.ID),
 				Score: it.Score,
 				Month: o.Month,
@@ -657,7 +535,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	if status != 0 {
-		writeError(w, status, CodeInvalidArgument, "%s", errMsg)
+		writeError(w, status, api.CodeInvalidArgument, "%s", errMsg)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

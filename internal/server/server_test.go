@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"figfusion/internal/api"
 	"figfusion/internal/dataset"
 	"figfusion/internal/media"
 	"figfusion/internal/retrieval"
@@ -82,7 +83,7 @@ func TestHealthz(t *testing.T) {
 
 func TestSearchByID(t *testing.T) {
 	s, d := testServer(t)
-	var resp SearchResponse
+	var resp api.SearchResponse
 	code := doJSON(t, s.Handler(), "GET", "/v1/search?id=5&k=4", nil, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -105,7 +106,7 @@ func TestSearchByID(t *testing.T) {
 
 func TestSearchByText(t *testing.T) {
 	s, _ := testServer(t)
-	var resp SearchResponse
+	var resp api.SearchResponse
 	code := doJSON(t, s.Handler(), "GET", "/v1/search?text=topic00tag00+topic00tag01&k=3", nil, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -141,7 +142,7 @@ func TestSearchValidation(t *testing.T) {
 
 func TestObjectEndpoint(t *testing.T) {
 	s, d := testServer(t)
-	var resp ObjectResponse
+	var resp api.ObjectResponse
 	code := doJSON(t, s.Handler(), "GET", "/v1/objects/7", nil, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -163,12 +164,12 @@ func TestObjectEndpoint(t *testing.T) {
 func TestInsertEndpoint(t *testing.T) {
 	s, d := testServer(t)
 	before := d.Corpus.Len()
-	body, _ := json.Marshal(InsertRequest{
+	body, _ := json.Marshal(api.InsertRequest{
 		Tags:  []string{"topic00tag00", "topic00tag01"},
 		Users: []string{"u_t00_00"},
 		Month: 5,
 	})
-	var resp InsertResponse
+	var resp api.InsertResponse
 	code := doJSON(t, s.Handler(), "POST", "/v1/objects", body, &resp)
 	if code != http.StatusCreated {
 		t.Fatalf("status = %d", code)
@@ -177,7 +178,7 @@ func TestInsertEndpoint(t *testing.T) {
 		t.Errorf("ID = %d, want %d", resp.ID, before)
 	}
 	// The inserted object is immediately searchable.
-	var sr SearchResponse
+	var sr api.SearchResponse
 	if code := doJSON(t, s.Handler(), "GET",
 		fmt.Sprintf("/v1/search?text=topic00tag00+topic00tag01&k=%d", d.Corpus.Len()), nil, &sr); code != http.StatusOK {
 		t.Fatalf("post-insert search status = %d", code)
@@ -195,7 +196,7 @@ func TestInsertEndpoint(t *testing.T) {
 	if code := doJSON(t, s.Handler(), "POST", "/v1/objects", []byte("{"), nil); code != http.StatusBadRequest {
 		t.Errorf("bad JSON status = %d", code)
 	}
-	empty, _ := json.Marshal(InsertRequest{})
+	empty, _ := json.Marshal(api.InsertRequest{})
 	if code := doJSON(t, s.Handler(), "POST", "/v1/objects", empty, nil); code != http.StatusBadRequest {
 		t.Errorf("empty insert status = %d", code)
 	}
@@ -211,7 +212,7 @@ func TestConcurrentSearchAndInsert(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				if w == 0 && i%3 == 0 {
-					body, _ := json.Marshal(InsertRequest{Tags: []string{"topic01tag01"}})
+					body, _ := json.Marshal(api.InsertRequest{Tags: []string{"topic01tag01"}})
 					req := httptest.NewRequest("POST", "/v1/objects", bytes.NewReader(body))
 					rec := httptest.NewRecorder()
 					h.ServeHTTP(rec, req)
@@ -242,8 +243,8 @@ func TestRecommendEndpoint(t *testing.T) {
 	if len(hist) < 2 {
 		t.Skip("not enough topic-1 history in sample")
 	}
-	body, _ := json.Marshal(RecommendRequest{History: hist, K: 5, Now: 3})
-	var resp SearchResponse
+	body, _ := json.Marshal(api.RecommendRequest{History: hist, K: 5, Now: 3})
+	var resp api.SearchResponse
 	code := doJSON(t, s.Handler(), "POST", "/v1/recommend", body, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -271,11 +272,11 @@ func TestRecommendEndpoint(t *testing.T) {
 	if code := doJSON(t, s.Handler(), "POST", "/v1/recommend", []byte("{"), nil); code != http.StatusBadRequest {
 		t.Errorf("bad JSON status = %d", code)
 	}
-	empty, _ := json.Marshal(RecommendRequest{K: 5})
+	empty, _ := json.Marshal(api.RecommendRequest{K: 5})
 	if code := doJSON(t, s.Handler(), "POST", "/v1/recommend", empty, nil); code != http.StatusBadRequest {
 		t.Errorf("empty history status = %d", code)
 	}
-	bad, _ := json.Marshal(RecommendRequest{History: []int64{999999}, K: 5})
+	bad, _ := json.Marshal(api.RecommendRequest{History: []int64{999999}, K: 5})
 	if code := doJSON(t, s.Handler(), "POST", "/v1/recommend", bad, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown history status = %d", code)
 	}

@@ -25,7 +25,7 @@ func TestStressMixedWorkload(t *testing.T) {
 		readers = 8
 		rounds  = 12
 	)
-	recBody, err := json.Marshal(RecommendRequest{History: []int64{0, 1, 2}, K: 5, Now: 3})
+	recBody, err := json.Marshal(api.RecommendRequest{History: []int64{0, 1, 2}, K: 5, Now: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestStressMixedWorkload(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			body, err := json.Marshal(InsertRequest{
+			body, err := json.Marshal(api.InsertRequest{
 				Tags:  []string{"topic01tag01", fmt.Sprintf("stress%02d", i)},
 				Month: i % 4,
 			})

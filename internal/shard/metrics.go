@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"time"
 
 	"figfusion/internal/obs"
 )
@@ -18,31 +17,27 @@ const (
 	metricInsertsTotal   = "shard.inserts.total"
 )
 
-// routerMetrics is the router's instrument bundle: scatter-gather fan-out
-// latency (one observation per shard per query), the straggler gap (the
-// spread between the fastest and slowest shard of one query — the quantity
-// that bounds scatter-gather tail latency), query-side prepare latency,
-// and insert routing counters. Nil = instrumentation off.
+// routerMetrics is the router's instrument bundle: the shared leg runner's
+// fan-out latency (one observation per shard per query) and straggler gap,
+// query-side prepare latency, and insert routing counters. The zero value
+// is instrumentation off: nil instruments ignore updates.
 type routerMetrics struct {
-	searches  *obs.Counter
-	prepare   *obs.Histogram
-	fanout    *obs.Histogram
-	straggler *obs.Histogram
-	inserts   *obs.Counter
-	shardIns  []*obs.Counter
+	searches *obs.Counter
+	prepare  *obs.Histogram
+	legs     Fanout
+	inserts  *obs.Counter
+	shardIns []*obs.Counter
 }
 
-func newRouterMetrics(reg *obs.Registry, shards int) *routerMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &routerMetrics{
-		searches:  reg.Counter(metricSearchTotal),
-		prepare:   reg.Histogram(metricPrepareLatency),
-		fanout:    reg.Histogram(metricFanoutLatency),
-		straggler: reg.Histogram(metricStragglerGap),
-		inserts:   reg.Counter(metricInsertsTotal),
-		shardIns:  make([]*obs.Counter, shards),
+// newRouterMetrics resolves the bundle against reg; a nil registry hands
+// out nil instruments.
+func newRouterMetrics(reg *obs.Registry, shards int) routerMetrics {
+	m := routerMetrics{
+		searches: reg.Counter(metricSearchTotal),
+		prepare:  reg.Histogram(metricPrepareLatency),
+		legs:     NewFanout(reg, metricFanoutLatency, metricStragglerGap),
+		inserts:  reg.Counter(metricInsertsTotal),
+		shardIns: make([]*obs.Counter, shards),
 	}
 	for i := range m.shardIns {
 		m.shardIns[i] = reg.Counter(fmt.Sprintf("shard.%02d.inserts", i))
@@ -50,51 +45,12 @@ func newRouterMetrics(reg *obs.Registry, shards int) *routerMetrics {
 	return m
 }
 
-// begin opens a prepare-stage span; zero time when disabled.
-func (m *routerMetrics) begin() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// endPrepare closes the prepare span and counts the query.
-func (m *routerMetrics) endPrepare(start time.Time) {
-	if m == nil {
-		return
-	}
-	m.prepare.Observe(time.Since(start))
-	m.searches.Inc()
-}
-
-// observeFanout records the per-shard latencies of one scatter and their
-// straggler gap (only meaningful past one shard).
-func (m *routerMetrics) observeFanout(durs []time.Duration) {
-	if m == nil {
-		return
-	}
-	min, max := durs[0], durs[0]
-	for _, d := range durs {
-		m.fanout.Observe(d)
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	if len(durs) > 1 {
-		m.straggler.Observe(max - min)
-	}
-}
-
 // recordInsert counts one routed insert against its owning shard.
 func (m *routerMetrics) recordInsert(shard int) {
-	if m == nil {
-		return
-	}
 	m.inserts.Inc()
-	m.shardIns[shard].Inc()
+	if m.shardIns != nil {
+		m.shardIns[shard].Inc()
+	}
 }
 
 // SetMetrics attaches (or detaches, with a nil registry) observability:
@@ -115,8 +71,9 @@ func (r *Router) SetMetrics(reg *obs.Registry, slow *obs.SlowLog) {
 	// The per-shard engines each registered index gauges over their own
 	// slice of the corpus; overwrite them with corpus-wide aggregates
 	// (Func registration is replace-by-name). Resident bytes and snapshot
-	// bytes sum across shards; cold-start load time is the slowest shard,
-	// since shard snapshots load concurrently at startup.
+	// bytes sum across shards; cold-start load time reports the slowest
+	// shard (Load reads the shard files one after another, so the
+	// start-up wall time is nearer their sum).
 	shards := r.shards
 	reg.Func("index.resident.bytes", func() int64 {
 		var total int64

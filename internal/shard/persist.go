@@ -1,17 +1,19 @@
 // Sharded snapshot persistence: one JSON manifest describing the shard
-// layout plus one gob snapshot per shard (written by index.Save). Together
-// with the dataset's own Save, a sharded deployment can cold-start without
-// the O(|D|) clique enumeration: figdata writes the snapshot set, figserver
-// loads it.
+// layout plus one FSG1 segment per shard (written by index.SaveAt).
+// Together with the dataset's own Save, a sharded deployment can cold-start
+// without the O(|D|) clique enumeration: figdata writes the snapshot set,
+// figserver loads it.
 package shard
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"figfusion/internal/atomicfile"
 	"figfusion/internal/corr"
 	"figfusion/internal/index"
 )
@@ -115,27 +117,57 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// shardFile returns the per-shard snapshot filename for a base path.
-func shardFile(base string, s int) string { return fmt.Sprintf("%s.shard%03d.idx", base, s) }
+// shardName returns shard s's snapshot filename, relative to the manifest,
+// for a base path. A set has two names per shard and Save alternates
+// between them, so writing a new set never touches a file the manifest on
+// disk still names.
+func shardName(base string, s int, alt bool) string {
+	if alt {
+		return fmt.Sprintf("%s.shard%03d.alt.idx", filepath.Base(base), s)
+	}
+	return fmt.Sprintf("%s.shard%03d.idx", filepath.Base(base), s)
+}
 
-// Save writes the router's shards to <base>.shard000.idx … and the
-// manifest to <base>.manifest.json, returning the manifest. Routed inserts
-// are held off for the duration (the snapshot must pair one corpus state
-// with every shard file); searches proceed, pausing per shard only while
-// that shard serializes.
-func (r *Router) Save(base string) (*Manifest, error) {
-	r.insertMu.Lock()
-	defer r.insertMu.Unlock()
-	m := &Manifest{
+// stamp returns a manifest of the router's current corpus state with no
+// files listed yet. The caller holds insertMu, so the stamp pairs with
+// every shard serialized under the same hold.
+func (r *Router) stamp() *Manifest {
+	return &Manifest{
 		Version:    manifestVersion,
 		Shards:     len(r.shards),
 		Objects:    r.corpusLen(),
 		Generation: r.model.Generation(),
 		Inserts:    r.inserts.Load(),
 	}
+}
+
+// Save writes the router's shards to <base>.shard000.idx … and the
+// manifest to <base>.manifest.json, returning the manifest. Routed inserts
+// are held off for the duration (the snapshot must pair one corpus state
+// with every shard file); searches proceed, pausing per shard only while
+// that shard serializes.
+//
+// A crash or error at any point leaves the previous complete set or the
+// new one, never a mix: every file is written through atomicfile, each
+// shard goes to whichever of its two names the manifest on disk does not
+// list, and the manifest — renamed into place last — is the commit point.
+// Only then are the previous set's shard files removed. A failed Save
+// leaves at most one unnamed file per shard, which the next Save overwrites.
+func (r *Router) Save(base string) (*Manifest, error) {
+	r.insertMu.Lock()
+	defer r.insertMu.Unlock()
+	dir := filepath.Dir(ManifestPath(base))
+	live := make(map[string]bool) // shard files of the set on disk, if a loadable one is there
+	if prev, err := ReadManifest(ManifestPath(base)); err == nil {
+		for _, name := range prev.Files {
+			live[name] = true
+		}
+	}
+	m := r.stamp()
 	for s, sh := range r.shards {
-		name := filepath.Base(shardFile(base, s))
-		if err := sh.save(shardFile(base, s), m.Generation); err != nil {
+		name := shardName(base, s, live[shardName(base, s, false)])
+		err := atomicfile.Write(filepath.Join(dir, name), func(w io.Writer) error { return sh.stream(w, m.Generation) })
+		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		m.Files = append(m.Files, name)
@@ -144,9 +176,15 @@ func (r *Router) Save(base string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(ManifestPath(base), raw, 0o644); err != nil {
+	err = atomicfile.Write(ManifestPath(base), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
+		return err
+	})
+	if err != nil {
 		return nil, err
+	}
+	for name := range live {
+		os.Remove(filepath.Join(dir, name)) // best effort: no manifest names it any more
 	}
 	return m, nil
 }
@@ -156,25 +194,6 @@ func (r *Router) corpusLen() int {
 	r.statsMu.RLock()
 	defer r.statsMu.RUnlock()
 	return r.model.Stats.Corpus().Len()
-}
-
-// save serializes one shard's index under its read lock. Freshness is
-// judged against the shared model's generation: a shard's own refresh
-// generation lags the model whenever the last insert routed elsewhere, and
-// rows refreshed at an intermediate generation must not load as
-// authoritative (see index.SaveAt).
-func (sh *shardState) save(path string, gen uint64) error {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sh.eng.Index.SaveAt(f, gen); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Load rebuilds a router from a snapshot set written by Save, over a model
@@ -189,31 +208,42 @@ func Load(m *corr.Model, cfg Config, base string) (*Router, *Manifest, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Shards != 0 && cfg.Shards != man.Shards {
-		return nil, nil, fmt.Errorf("shard: configured %d shards but snapshot has %d", cfg.Shards, man.Shards)
-	}
-	if cfg.Retrieval.Index != nil || cfg.Retrieval.SkipIndex {
-		return nil, nil, fmt.Errorf("shard: Retrieval.Index/SkipIndex are managed by the router")
-	}
-	if got := m.Stats.Corpus().Len(); got != man.Objects {
-		return nil, nil, fmt.Errorf("shard: snapshot cut at %d objects but corpus has %d — pair snapshots with their dataset", man.Objects, got)
+	r, counts, err := fromManifest(m, cfg, man)
+	if err != nil {
+		return nil, nil, err
 	}
 	dir := filepath.Dir(ManifestPath(base))
-	r := &Router{model: m, shards: make([]*shardState, man.Shards), owns: cfg.Owns}
-	counts := r.ownedCounts(man.Shards)
 	for s, name := range man.Files {
 		inv, err := loadShardIndex(filepath.Join(dir, name))
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		if err := r.checkRouting(inv, s, man.Shards); err != nil {
-			return nil, nil, err
-		}
-		if err := r.attach(s, inv, cfg, counts[s]); err != nil {
+		if err := r.attachLoaded(s, inv, cfg, counts[s]); err != nil {
 			return nil, nil, err
 		}
 	}
 	return r, man, nil
+}
+
+// fromManifest is newRouter for a snapshot set: it also refuses a shard
+// count or corpus the set was not cut from.
+func fromManifest(m *corr.Model, cfg Config, man *Manifest) (*Router, []int, error) {
+	if cfg.Shards != 0 && cfg.Shards != man.Shards {
+		return nil, nil, fmt.Errorf("shard: configured %d shards but snapshot has %d", cfg.Shards, man.Shards)
+	}
+	if got := m.Stats.Corpus().Len(); got != man.Objects {
+		return nil, nil, fmt.Errorf("shard: snapshot cut at %d objects but corpus has %d — pair snapshots with their dataset", man.Objects, got)
+	}
+	return newRouter(m, cfg, man.Shards)
+}
+
+// attachLoaded wires shard s around an index read from a snapshot, after
+// checking the snapshot belongs there.
+func (r *Router) attachLoaded(s int, inv *index.Inverted, cfg Config, objects int) error {
+	if err := r.checkRouting(inv, s); err != nil {
+		return err
+	}
+	return r.attach(s, inv, cfg, objects)
 }
 
 func loadShardIndex(path string) (*index.Inverted, error) {
@@ -230,7 +260,8 @@ func loadShardIndex(path string) (*index.Inverted, error) {
 // predicate — the cheap integrity check that catches a snapshot set
 // reassembled with the wrong shard count, renamed files, or a partition
 // snapshot loaded onto the wrong node.
-func (r *Router) checkRouting(inv *index.Inverted, s, shards int) error {
+func (r *Router) checkRouting(inv *index.Inverted, s int) error {
+	shards := len(r.shards)
 	for _, e := range inv.Entries() {
 		for _, id := range e.Objects {
 			if ShardOf(id, shards) != s {

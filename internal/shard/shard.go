@@ -103,9 +103,9 @@ type Router struct {
 	// inserts counts routed inserts since construction or load; snapshots
 	// stamp it into the manifest alongside the model generation.
 	inserts atomic.Uint64
-	// metrics is the router-level instrument bundle (nil = off); attach
+	// metrics is the router-level instrument bundle (zero = off); attach
 	// with SetMetrics.
-	metrics *routerMetrics
+	metrics routerMetrics
 }
 
 // NewRouter partitions the model's corpus across cfg.Shards engines,
@@ -118,14 +118,10 @@ func NewRouter(m *corr.Model, cfg Config) (*Router, error) {
 	if n <= 0 {
 		n = 1
 	}
-	if cfg.Retrieval.Index != nil || cfg.Retrieval.SkipIndex {
-		return nil, fmt.Errorf("shard: Retrieval.Index/SkipIndex are managed by the router")
+	r, counts, err := newRouter(m, cfg, n)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Retrieval.Metrics != nil || cfg.Retrieval.SlowLog != nil {
-		return nil, fmt.Errorf("shard: attach observability via Router.SetMetrics, not Retrieval.Metrics")
-	}
-	r := &Router{model: m, shards: make([]*shardState, n), owns: cfg.Owns}
-	counts := r.ownedCounts(n)
 	for s := 0; s < n; s++ {
 		s := s
 		owns := func(id media.ObjectID) bool { return r.ownsObject(id) && ShardOf(id, n) == s }
@@ -137,22 +133,44 @@ func NewRouter(m *corr.Model, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// ownsObject applies the partition predicate (everything when unset).
-func (r *Router) ownsObject(id media.ObjectID) bool {
-	return r.owns == nil || r.owns(id)
-}
-
-// ownedCounts tallies, in one corpus pass, how many owned objects route to
-// each of n local shards.
-func (r *Router) ownedCounts(n int) []int {
+// newRouter is the validated start of every construction path — build,
+// Load, LoadSnapshotStream: it rejects the engine settings the router
+// manages itself and returns an n-shard router with no engines attached
+// yet, plus how many owned objects route to each shard.
+func newRouter(m *corr.Model, cfg Config, n int) (*Router, []int, error) {
+	if cfg.Retrieval.Index != nil || cfg.Retrieval.SkipIndex {
+		return nil, nil, fmt.Errorf("shard: Retrieval.Index/SkipIndex are managed by the router")
+	}
+	if cfg.Retrieval.Metrics != nil || cfg.Retrieval.SlowLog != nil {
+		return nil, nil, fmt.Errorf("shard: attach observability via Router.SetMetrics, not Retrieval.Metrics")
+	}
+	r := &Router{model: m, shards: make([]*shardState, n), owns: cfg.Owns}
 	counts := make([]int, n)
-	corpus := r.model.Stats.Corpus()
+	corpus := m.Stats.Corpus()
 	for i := 0; i < corpus.Len(); i++ {
 		if id := media.ObjectID(i); r.ownsObject(id) {
 			counts[ShardOf(id, n)]++
 		}
 	}
-	return counts
+	return r, counts, nil
+}
+
+// FromEngine wraps one prebuilt engine as a one-shard router over the
+// engine's own model, scorer and index — how a standalone server gets the
+// router's locking, stamped inserts and snapshots without a second serving
+// stack. The engine must index the whole corpus; an engine built with
+// SkipIndex is a caller bug and panics.
+func FromEngine(e *retrieval.Engine) *Router {
+	if e.Index == nil {
+		panic("shard: FromEngine needs an engine with an index")
+	}
+	sh := &shardState{eng: e, objects: e.Model.Stats.Corpus().Len()}
+	return &Router{model: e.Model, shards: []*shardState{sh}}
+}
+
+// ownsObject applies the partition predicate (everything when unset).
+func (r *Router) ownsObject(id media.ObjectID) bool {
+	return r.owns == nil || r.owns(id)
 }
 
 // attach wires shard s around a prebuilt (or loaded) per-shard index. The
@@ -212,14 +230,8 @@ func (r *Router) Search(q *media.Object, k int, exclude media.ObjectID) []topk.I
 // done context aborts the scatter with ctx.Err(). With an undone context
 // the results are byte-identical to Search.
 func (r *Router) SearchContext(ctx context.Context, q *media.Object, k int, exclude media.ObjectID) ([]topk.Item, error) {
-	r.statsMu.RLock()
-	defer r.statsMu.RUnlock()
-	st := r.metrics.begin()
-	p := r.shards[0].eng.Prepare(q)
-	r.metrics.endPrepare(st)
-	return r.gather(k, func(sh *shardState) ([]topk.Item, error) {
-		return sh.search(ctx, p, k, exclude)
-	})
+	out, _, err := r.Query(ctx, q, k, exclude, false)
+	return out, err
 }
 
 // SearchTA is the scatter-gather form of the literal Algorithm 1 path:
@@ -233,84 +245,50 @@ func (r *Router) SearchTA(q *media.Object, k int, exclude media.ObjectID) []topk
 }
 
 // SearchTAContext is SearchTA under a context, with SearchContext's
-// cancellation contract: a done context aborts the scatter with ctx.Err(),
-// an undone one returns results byte-identical to SearchTA.
+// cancellation contract.
 func (r *Router) SearchTAContext(ctx context.Context, q *media.Object, k int, exclude media.ObjectID) ([]topk.Item, error) {
+	out, _, err := r.Query(ctx, q, k, exclude, true)
+	return out, err
+}
+
+// Query is the one search entry point: ta selects the Algorithm 1
+// threshold path over the full-scoring one. The query is prepared once —
+// on shard 0's engine, under that shard's read lock, because Prepare reads
+// the Eq. 9 weights its index stores — and searched on every shard; any
+// shard error (only cancellation today) aborts the merge. The bool is the
+// serving tiers' shared degraded-answer flag, which a router never sets:
+// every shard is in this process, so it answers whole or not at all.
+func (r *Router) Query(ctx context.Context, q *media.Object, k int, exclude media.ObjectID, ta bool) ([]topk.Item, bool, error) {
 	r.statsMu.RLock()
 	defer r.statsMu.RUnlock()
-	st := r.metrics.begin()
-	p := r.shards[0].eng.Prepare(q)
-	r.metrics.endPrepare(st)
-	return r.gather(k, func(sh *shardState) ([]topk.Item, error) {
-		return sh.searchTA(ctx, p, k, exclude)
+	start := time.Now()
+	p := r.shards[0].prepare(q)
+	r.metrics.prepare.Observe(time.Since(start))
+	r.metrics.searches.Inc()
+	legs := r.metrics.legs.Scatter(len(r.shards), runtime.GOMAXPROCS(0) > 1, func(i int) ([]topk.Item, error) {
+		return r.shards[i].search(ctx, p, k, exclude, ta)
 	})
+	for _, l := range legs {
+		if l.Err != nil {
+			return nil, false, l.Err
+		}
+	}
+	return MergeLegs(legs, k), false, nil
 }
 
-// gather runs one search on every shard and folds the per-shard top-k
-// lists. With no parallelism to exploit, the scatter runs inline — the
-// per-query goroutine fan-out is pure overhead at GOMAXPROCS=1, and the
-// fold is order-independent either way. When metrics are attached, each
-// shard's latency feeds the fan-out histogram and the per-query max−min
-// spread feeds the straggler-gap histogram. Any shard error (only
-// cancellation today) aborts the merge.
-func (r *Router) gather(k int, run func(*shardState) ([]topk.Item, error)) ([]topk.Item, error) {
-	m := r.metrics
-	n := len(r.shards)
-	partial := make([][]topk.Item, n)
-	errs := make([]error, n)
-	var durs []time.Duration
-	if m != nil {
-		durs = make([]time.Duration, n)
-	}
-	runOne := func(i int, sh *shardState) {
-		var st time.Time
-		if m != nil {
-			st = time.Now()
-		}
-		partial[i], errs[i] = run(sh)
-		if m != nil {
-			durs[i] = time.Since(st)
-		}
-	}
-	if n == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i, sh := range r.shards {
-			runOne(i, sh)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, sh := range r.shards {
-			wg.Add(1)
-			go func(i int, sh *shardState) {
-				defer wg.Done()
-				runOne(i, sh)
-			}(i, sh)
-		}
-		wg.Wait()
-	}
-	if m != nil {
-		m.observeFanout(durs)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if n == 1 {
-		return partial[0], nil
-	}
-	return topk.MergeRanked(partial, k), nil
-}
-
-func (sh *shardState) search(ctx context.Context, p *retrieval.PreparedQuery, k int, exclude media.ObjectID) ([]topk.Item, error) {
+func (sh *shardState) prepare(q *media.Object) *retrieval.PreparedQuery {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	return sh.eng.Prepare(q)
+}
+
+func (sh *shardState) search(ctx context.Context, p *retrieval.PreparedQuery, k int, exclude media.ObjectID, ta bool) ([]topk.Item, error) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if ta {
+		return sh.eng.SearchTAPreparedContext(ctx, p, k, exclude)
+	}
 	return sh.eng.SearchPreparedContext(ctx, p, k, exclude)
-}
-
-func (sh *shardState) searchTA(ctx context.Context, p *retrieval.PreparedQuery, k int, exclude media.ObjectID) ([]topk.Item, error) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.eng.SearchTAPreparedContext(ctx, p, k, exclude)
 }
 
 // Insert routes one new object: the shared corpus and statistics grow
@@ -322,10 +300,10 @@ func (sh *shardState) searchTA(ctx context.Context, p *retrieval.PreparedQuery, 
 // statistics before the new object is indexed, which only delays the
 // object's retrievability, never corrupts a score.
 func (r *Router) Insert(feats []media.Feature, counts []int, month int) (*media.Object, error) {
-	return r.InsertAt(feats, counts, month, -1)
+	return r.InsertContext(context.Background(), feats, counts, month, -1)
 }
 
-// PreconditionError reports a stamped insert (InsertAt) that found the
+// PreconditionError reports a stamped insert (InsertContext) that found the
 // corpus at a different size than the stamp demanded — the divergence
 // signal of multi-node routed ingestion: a node that missed an insert
 // answers every later stamped insert with this error instead of silently
@@ -339,7 +317,7 @@ func (e *PreconditionError) Error() string {
 	return fmt.Sprintf("shard: insert precondition failed: corpus holds %d objects but the insert was stamped for %d — node state has diverged", e.Objects, e.Expect)
 }
 
-// InsertAt is Insert with a generation stamp: when expect >= 0 the insert
+// InsertContext is Insert with a generation stamp: when expect >= 0 the insert
 // only applies if the corpus currently holds exactly expect objects (so
 // the new object's ID is expect), else it fails with *PreconditionError
 // and mutates nothing. A multi-node router stamps every replicated insert
@@ -347,8 +325,10 @@ func (e *PreconditionError) Error() string {
 // it missed an insert, or received one this router never saw — surfaces
 // immediately instead of diverging further. Objects outside the partition
 // predicate (Config.Owns) grow the statistics but are not indexed here;
-// their postings live on the owning node.
-func (r *Router) InsertAt(feats []media.Feature, counts []int, month int, expect int) (*media.Object, error) {
+// their postings live on the owning node. The context is the serving
+// tiers' shared insert signature; a local insert waits on no peer, so it
+// runs to completion regardless.
+func (r *Router) InsertContext(_ context.Context, feats []media.Feature, counts []int, month int, expect int) (*media.Object, error) {
 	r.insertMu.Lock()
 	defer r.insertMu.Unlock()
 	if expect >= 0 {
@@ -420,6 +400,19 @@ func (r *Router) ShardInfos() []ShardInfo {
 		infos[i] = sh.info(i)
 	}
 	return infos
+}
+
+// HealthFields are the fields this tier adds to /v1/healthz: the summed
+// clique count, the per-shard stats and the statistics generation. Safe
+// under View: per-shard locks nest under the statistics read lock (an
+// insert never holds a shard lock while waiting on the statistics lock).
+func (r *Router) HealthFields() map[string]interface{} {
+	infos := r.ShardInfos()
+	cliques := 0
+	for _, si := range infos {
+		cliques += si.Cliques
+	}
+	return map[string]interface{}{"cliques": cliques, "shards": infos, "generation": r.Generation()}
 }
 
 func (sh *shardState) info(i int) ShardInfo {

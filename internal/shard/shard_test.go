@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,7 +131,8 @@ func TestLoadValidation(t *testing.T) {
 	}
 	dir := t.TempDir()
 	base := filepath.Join(dir, "snap")
-	if _, err := r.Save(base); err != nil {
+	man, err := r.Save(base)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,7 +159,7 @@ func TestLoadValidation(t *testing.T) {
 		t.Errorf("corpus mismatch err = %v", err)
 	}
 	// Swapped shard files must fail the routing integrity check.
-	f0, f1 := shardFile(base, 0), shardFile(base, 1)
+	f0, f1 := filepath.Join(dir, man.Files[0]), filepath.Join(dir, man.Files[1])
 	tmp := filepath.Join(dir, "tmp")
 	for _, mv := range [][2]string{{f0, tmp}, {f1, f0}, {tmp, f1}} {
 		if err := os.Rename(mv[0], mv[1]); err != nil {
@@ -166,5 +168,66 @@ func TestLoadValidation(t *testing.T) {
 	}
 	if _, _, err := Load(freshModel(), Config{}, base); err == nil || !strings.Contains(err.Error(), "routes to shard") {
 		t.Errorf("swapped shard files err = %v", err)
+	}
+}
+
+// TestSaveFailureKeepsPreviousSet is the durability contract of Save: a
+// save that dies after k of n shard files — here after 1 of 3, on a
+// directory squatting on shard 1's next file name — leaves a set that
+// still loads as the state the previous save cut, and the next save
+// replaces it whole.
+func TestSaveFailureKeepsPreviousSet(t *testing.T) {
+	_, m := testSystem(t)
+	r, err := NewRouter(m, Config{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []media.ObjectID{0, 1, 2, 3, 4, 5, 6, 7}
+	dir := t.TempDir()
+	base := filepath.Join(dir, "snap")
+	old, err := r.Save(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := searchBytes(r, m.Stats.Corpus(), queries)
+
+	// The corpus moves on, so a mixed set could not pass for the old one.
+	applyInserts(t, r.Insert)
+	squatter := filepath.Join(dir, shardName(base, 1, true))
+	if err := os.Mkdir(squatter, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Save(base); err == nil {
+		t.Fatal("save over an unwritable shard file reported success")
+	}
+
+	_, m2 := testSystem(t) // the dataset the first save pairs with
+	loaded, man, err := Load(m2, Config{}, base)
+	if err != nil {
+		t.Fatalf("set no longer loads after a failed save: %v", err)
+	}
+	if man.Objects != old.Objects || man.Inserts != old.Inserts {
+		t.Fatalf("loaded manifest %+v, want the previous save's %+v", man, old)
+	}
+	if got := searchBytes(loaded, m2.Stats.Corpus(), queries); !bytes.Equal(got, want) {
+		t.Fatal("set loaded after a failed save answers differently from the previous save's state")
+	}
+
+	if err := os.Remove(squatter); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := r.Save(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Objects == old.Objects {
+		t.Fatal("second save did not capture the inserts")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1+len(cur.Files) {
+		t.Errorf("directory holds %d entries after a completed save, want the manifest and its %d shard files", len(entries), len(cur.Files))
 	}
 }

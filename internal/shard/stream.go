@@ -29,13 +29,7 @@ func streamShardName(s int) string { return fmt.Sprintf("stream.shard%03d.idx", 
 func (r *Router) StreamSnapshot(w io.Writer) error {
 	r.insertMu.Lock()
 	defer r.insertMu.Unlock()
-	m := &Manifest{
-		Version:    manifestVersion,
-		Shards:     len(r.shards),
-		Objects:    r.corpusLen(),
-		Generation: r.model.Generation(),
-		Inserts:    r.inserts.Load(),
-	}
+	m := r.stamp()
 	for s := range r.shards {
 		m.Files = append(m.Files, streamShardName(s))
 	}
@@ -73,8 +67,11 @@ func encodeManifestLine(m *Manifest) ([]byte, error) {
 	return append(raw, '\n'), nil
 }
 
-// stream serializes one shard's index into w under its read lock, with the
-// same freshness stamp rule as save.
+// stream serializes one shard's index into w under its read lock.
+// Freshness is judged against the shared model's generation: a shard's own
+// refresh generation lags the model whenever the last insert routed
+// elsewhere, and rows refreshed at an intermediate generation must not load
+// as authoritative (see index.SaveAt).
 func (sh *shardState) stream(w io.Writer, gen uint64) error {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -100,17 +97,10 @@ func LoadSnapshotStream(m *corr.Model, cfg Config, rd io.Reader) (*Router, *Mani
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Shards != 0 && cfg.Shards != man.Shards {
-		return nil, nil, fmt.Errorf("shard: configured %d shards but snapshot has %d", cfg.Shards, man.Shards)
+	r, counts, err := fromManifest(m, cfg, man)
+	if err != nil {
+		return nil, nil, err
 	}
-	if cfg.Retrieval.Index != nil || cfg.Retrieval.SkipIndex {
-		return nil, nil, fmt.Errorf("shard: Retrieval.Index/SkipIndex are managed by the router")
-	}
-	if got := m.Stats.Corpus().Len(); got != man.Objects {
-		return nil, nil, fmt.Errorf("shard: snapshot cut at %d objects but corpus has %d — pair snapshots with their dataset", man.Objects, got)
-	}
-	r := &Router{model: m, shards: make([]*shardState, man.Shards), owns: cfg.Owns}
-	counts := r.ownedCounts(man.Shards)
 	var size [8]byte
 	for s := 0; s < man.Shards; s++ {
 		if _, err := io.ReadFull(br, size[:]); err != nil {
@@ -124,10 +114,7 @@ func LoadSnapshotStream(m *corr.Model, cfg Config, rd io.Reader) (*Router, *Mani
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard: snapshot stream: shard %d: %w", s, err)
 		}
-		if err := r.checkRouting(inv, s, man.Shards); err != nil {
-			return nil, nil, err
-		}
-		if err := r.attach(s, inv, cfg, counts[s]); err != nil {
+		if err := r.attachLoaded(s, inv, cfg, counts[s]); err != nil {
 			return nil, nil, err
 		}
 	}
