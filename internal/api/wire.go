@@ -119,8 +119,9 @@ type InsertResponse struct {
 }
 
 // RecommendRequest is the POST /v1/recommend payload: the caller's
-// favourite history as corpus object IDs, the recommendation depth, and
-// the current month for the Eq. 10 decay.
+// favourite history as corpus object IDs, the recommendation depth (in
+// [1,1000]; omitted or 0 means 10), and the current month for the Eq. 10
+// decay.
 type RecommendRequest struct {
 	History []int64 `json:"history"`
 	K       int     `json:"k"`

@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"figfusion/internal/fig"
 	"figfusion/internal/media"
+	"figfusion/internal/mrf"
 	"figfusion/internal/retrieval"
 )
 
@@ -59,18 +59,15 @@ func KMedoids(engine *retrieval.Engine, objects []media.ObjectID, cfg Config) (*
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	corpus := engine.Model.Stats.Corpus()
 
-	// Clique sets per prospective medoid, cached.
-	cliqueCache := make(map[media.ObjectID][]fig.Clique)
-	cliquesOf := func(id media.ObjectID) []fig.Clique {
-		if c, ok := cliqueCache[id]; ok {
-			return c
-		}
-		c := engine.QueryCliques(corpus.Object(id))
-		cliqueCache[id] = c
-		return c
-	}
+	// One compiled clique set per prospective medoid, cached.
+	compiled := make(map[media.ObjectID]*mrf.CliqueSet)
 	similarity := func(medoid, obj media.ObjectID) float64 {
-		return engine.Scorer.Score(cliquesOf(medoid), corpus.Object(obj))
+		cs, ok := compiled[medoid]
+		if !ok {
+			cs = engine.Scorer.Compile(engine.QueryCliques(corpus.Object(medoid)), nil)
+			compiled[medoid] = cs
+		}
+		return cs.Score(corpus.Object(obj))
 	}
 
 	// Seed medoids with distinct random objects.

@@ -47,15 +47,7 @@ func (f FIGSystem) Search(q *media.Object, k int, exclude media.ObjectID) []topk
 // SearchAmong implements System by scoring only the candidates with the
 // engine's MRF model.
 func (f FIGSystem) SearchAmong(q *media.Object, candidates []media.ObjectID, k int) []topk.Item {
-	cliques := f.Engine.QueryCliques(q)
-	corpus := f.Engine.Model.Stats.Corpus()
-	h := topk.NewHeap(k)
-	for _, oid := range candidates {
-		if s := f.Engine.Scorer.Score(cliques, corpus.Object(oid)); s > 0 {
-			h.Push(topk.Item{ID: oid, Score: s})
-		}
-	}
-	return h.Results()
+	return f.Engine.SearchAmong(q, candidates, k)
 }
 
 // BaselineSystem adapts a baselines.Scorer to System.

@@ -10,20 +10,22 @@ import (
 	"figfusion/internal/numeric"
 )
 
-// CliqueSet is a query's clique list compiled against one scorer: every
-// candidate-independent quantity of the Eq. 7/9 potential — λ_c, the
-// Eq. 9 CorS weight, and the clique-internal correlation matrix the
-// smoothing correction subtracts — is evaluated once per query instead of
-// once per (clique, candidate) pair. On the indexed search path those
-// lookups were the hot spot: each one crossed a cache mutex per
-// candidate. A CliqueSet is immutable after Compile and safe to share
-// across the scoring workers of one query; it computes bit-identical
-// scores to Scorer.Score over the same cliques.
+// CliqueSet is a clique list — a query's, or a recommendation profile's —
+// compiled against one scorer, and with Scratch the only Eq. 7 code that
+// serves traffic (Scorer.Potential is the readable reference the tests
+// compare it against). Every candidate-independent quantity of the
+// Eq. 7/9/10 potential — λ_c, the Eq. 9 CorS weight, the Eq. 10 decay, and
+// the clique-internal correlation matrix the smoothing correction subtracts
+// — is evaluated once per compile instead of once per (clique, candidate)
+// pair. A CliqueSet is immutable after Compile and safe to share across
+// the scoring workers of one query; it computes bit-identical scores to
+// Scorer.Score over the same cliques.
 type CliqueSet struct {
 	s       *Scorer
 	cliques []fig.Clique
 	lambda  []float64   // λ_c per clique (0 ⇒ the clique is skipped)
 	weight  []float64   // Eq. 9 weight per clique
+	decay   []float64   // Eq. 10 multiplier per clique; nil for a query
 	pairCor [][]float64 // k×k row-major Cor(f_i, f_j) per clique; nil when α = 0
 	feats   []media.FID // sorted distinct features of the active cliques
 	featIdx [][]int32   // per active clique: positions of its Feats in feats
@@ -40,10 +42,25 @@ type CliqueSet struct {
 // them through the scorer's cache. The weights slice must be aligned with
 // cliques.
 func (s *Scorer) Compile(cliques []fig.Clique, weights []float64) *CliqueSet {
+	return s.compile(cliques, weights, nil)
+}
+
+// CompileDecayed compiles a recommendation profile: Eq. 10 is the Eq. 9
+// potential times a per-clique multiplier (Σ δ^age over the clique's
+// occurrences in the history), so a profile is a clique set whose
+// potentials are scaled by decay[i] — applied after the CorS weight, so
+// the product rounds as decay·ϕ′ does. Cliques whose multiplier is zero
+// are skipped like cliques whose λ is. decay must be aligned with cliques.
+func (s *Scorer) CompileDecayed(cliques []fig.Clique, decay []float64) *CliqueSet {
+	return s.compile(cliques, nil, decay)
+}
+
+func (s *Scorer) compile(cliques []fig.Clique, weights, decay []float64) *CliqueSet {
 	cs := &CliqueSet{
 		s:       s,
 		cliques: cliques,
 		lambda:  make([]float64, len(cliques)),
+		decay:   decay,
 	}
 	if s.Params.UseCorS {
 		if weights != nil {
@@ -61,7 +78,9 @@ func (s *Scorer) Compile(cliques []fig.Clique, weights []float64) *CliqueSet {
 	}
 	seen := make(map[media.FID]struct{})
 	for i, c := range cliques {
-		cs.lambda[i] = s.Params.LambdaFor(len(c.Feats))
+		if decay == nil || !numeric.IsZero(decay[i]) {
+			cs.lambda[i] = s.Params.LambdaFor(len(c.Feats))
+		}
 		if numeric.IsZero(cs.lambda[i]) {
 			continue
 		}
@@ -128,75 +147,19 @@ func (cs *CliqueSet) WeightedLambda(i int) float64 {
 	return lambda
 }
 
-// Score computes the Eq. 6 similarity of a candidate object to the
-// compiled query: the sum of clique potentials, identical to
-// Scorer.Score over the same cliques.
+// Score is ScoreScratch on a pooled scratch, for callers that score one
+// object at a time.
 func (cs *CliqueSet) Score(o *media.Object) float64 {
-	var sum float64
-	for i := range cs.cliques {
-		sum += cs.Potential(i, o)
-	}
-	return sum
+	sc := cs.GetScratch()
+	defer cs.PutScratch(sc)
+	return cs.ScoreScratch(sc, o)
 }
 
-// Potential computes ϕ′ of the i-th compiled clique for a candidate:
-// Eq. 7 scaled by λ_c and, when enabled, by the precompiled Eq. 9 weight.
+// Potential is PotentialScratch on a pooled scratch.
 func (cs *CliqueSet) Potential(i int, o *media.Object) float64 {
-	lambda := cs.lambda[i]
-	if numeric.IsZero(lambda) {
-		return 0
-	}
-	phi := lambda * cs.conditional(i, o)
-	if cs.s.Params.UseCorS {
-		phi *= cs.weight[i]
-	}
-	return phi
-}
-
-// conditional mirrors Scorer.conditional with the compiled state.
-func (cs *CliqueSet) conditional(i int, o *media.Object) float64 {
-	feats := cs.cliques[i].Feats
-	total := o.TotalCount()
-	if total == 0 || len(feats) == 0 {
-		return 0
-	}
-	p := (1 - cs.s.Params.Alpha) * setFreq(feats, o) / float64(total)
-	if cs.s.Params.Alpha > 0 {
-		p += cs.s.Params.Alpha * cs.smoothing(i, o)
-	}
-	return p
-}
-
-// smoothing mirrors Scorer.smoothing, serving the clique-internal
-// correlations from the compiled matrix instead of per-candidate
-// Model.Cor calls. The iteration and subtraction order match exactly, so
-// the floating-point result is bit-identical.
-func (cs *CliqueSet) smoothing(i int, o *media.Object) float64 {
-	feats := cs.cliques[i].Feats
-	present := 0
-	for _, f := range feats {
-		if o.Has(f) {
-			present++
-		}
-	}
-	rest := o.Len() - present
-	if rest == 0 {
-		return 0
-	}
-	k := len(feats)
-	cors := cs.pairCor[i]
-	var sum float64
-	for a, fi := range feats {
-		total := cs.s.featureObjectCor(fi, o)
-		// Remove contributions of clique members that are in O.
-		for b, fj := range feats {
-			if o.Has(fj) {
-				total -= cors[a*k+b]
-			}
-		}
-		sum += total
-	}
-	return sum / (float64(k) * float64(rest))
+	sc := cs.GetScratch()
+	defer cs.PutScratch(sc)
+	return cs.PotentialScratch(sc, i, o)
 }
 
 // Scratch is per-candidate scoring state for one CliqueSet, indexed by the
@@ -262,10 +225,29 @@ func (cs *CliqueSet) fill(sc *Scratch, o *media.Object) {
 	}
 }
 
-// ScoreScratch is Score with caller-provided scratch state — the form the
-// retrieval workers use. The result is bit-identical to Score (and hence
-// to Scorer.Score): the scratch only changes where each operand is read
-// from, never the value or the order of the floating-point operations.
+// PotentialScratch computes ϕ′ of the i-th compiled clique alone for a
+// candidate — Algorithm 1's per-posting score: Eq. 7 scaled by λ_c and,
+// when enabled, by the compiled Eq. 9 weight. It loads only that clique's
+// scratch slots before evaluating it.
+func (cs *CliqueSet) PotentialScratch(sc *Scratch, i int, o *media.Object) float64 {
+	for _, idx := range cs.featIdx[i] {
+		f := cs.feats[idx]
+		c := o.Count(f)
+		sc.counts[idx] = c
+		sc.present[idx] = c > 0
+		if cs.s.Params.Alpha > 0 {
+			sc.cors[idx] = cs.s.featureObjectCor(f, o)
+		}
+	}
+	return cs.potentialAt(sc, i, o)
+}
+
+// ScoreScratch computes the Eq. 6 similarity of a candidate object to the
+// compiled set — the sum of its clique potentials — on caller-provided
+// scratch state, the form the ranking workers use. The result is
+// bit-identical to Scorer.Score: the scratch only changes where each
+// operand is read from, never the value or the order of the
+// floating-point operations.
 func (cs *CliqueSet) ScoreScratch(sc *Scratch, o *media.Object) float64 {
 	cs.fill(sc, o)
 	var sum float64
@@ -284,10 +266,14 @@ func (cs *CliqueSet) potentialAt(sc *Scratch, i int, o *media.Object) float64 {
 	if cs.s.Params.UseCorS {
 		phi *= cs.weight[i]
 	}
+	if cs.decay != nil {
+		phi *= cs.decay[i]
+	}
 	return phi
 }
 
-// conditionalAt mirrors conditional, reading counts from the scratch.
+// conditionalAt is P(n_1..n_k | O_i) of Eq. 7 — Scorer.conditional with
+// the counts read from the scratch.
 func (cs *CliqueSet) conditionalAt(sc *Scratch, i int, o *media.Object) float64 {
 	feats := cs.featIdx[i]
 	total := o.TotalCount()
@@ -310,9 +296,10 @@ func (cs *CliqueSet) conditionalAt(sc *Scratch, i int, o *media.Object) float64 
 	return p
 }
 
-// smoothingAt mirrors smoothing, reading presence and feature–object
-// correlation sums from the scratch; iteration and subtraction order match
-// exactly, so the floating-point result is bit-identical.
+// smoothingAt is Scorer.smoothing with presence and feature–object
+// correlation sums read from the scratch and the clique-internal
+// correlations from the compiled matrix; iteration and subtraction order
+// match exactly, so the floating-point result is bit-identical.
 func (cs *CliqueSet) smoothingAt(sc *Scratch, i int, o *media.Object) float64 {
 	feats := cs.featIdx[i]
 	present := 0

@@ -54,8 +54,8 @@ type Params struct {
 	Alpha float64
 	// UseCorS enables the Eq. 9 clique-importance weighting.
 	UseCorS bool
-	// Delta is the temporal decay δ < 1 of Eq. 10; only ScoreTemporal
-	// uses it. Delta 1 disables decay.
+	// Delta is the temporal decay δ < 1 of Eq. 10; only the recommender's
+	// profile multipliers use it. Delta 1 disables decay.
 	Delta float64
 }
 
@@ -271,7 +271,9 @@ func (s *Scorer) PotentialParts(feats []media.FID, o *media.Object) (sf, sm floa
 }
 
 // Potential computes ϕ′(c) for a candidate object: Eq. 7 scaled by λ_c and,
-// when enabled, by the Eq. 9 CorS weight.
+// when enabled, by the Eq. 9 CorS weight. Potential and Score are the
+// readable, uncompiled form of the model — the reference the tests hold
+// CliqueSet to; everything that ranks candidates compiles first.
 func (s *Scorer) Potential(c fig.Clique, o *media.Object) float64 {
 	lambda := s.Params.LambdaFor(len(c.Feats))
 	if numeric.IsZero(lambda) {
@@ -290,32 +292,6 @@ func (s *Scorer) Score(cliques []fig.Clique, o *media.Object) float64 {
 	var sum float64
 	for _, c := range cliques {
 		sum += s.Potential(c, o)
-	}
-	return sum
-}
-
-// PotentialTemporal computes ϕ_rec of Eq. 10 for a timestamped profile
-// clique against a candidate object, with the recommendation time nowMonth
-// as t_c. Cliques without a timestamp (Month < 0) and future-dated cliques
-// decay as age 0.
-func (s *Scorer) PotentialTemporal(c fig.Clique, o *media.Object, nowMonth int) float64 {
-	phi := s.Potential(c, o)
-	if numeric.IsZero(phi) || numeric.Eq(s.Params.Delta, 1) {
-		return phi
-	}
-	age := 0
-	if c.Month >= 0 && nowMonth > c.Month {
-		age = nowMonth - c.Month
-	}
-	return phi * math.Pow(s.Params.Delta, float64(age))
-}
-
-// ScoreTemporal computes the recommendation score of Section 4: the sum of
-// temporally decayed potentials of the profile's timestamped cliques.
-func (s *Scorer) ScoreTemporal(cliques []fig.Clique, o *media.Object, nowMonth int) float64 {
-	var sum float64
-	for _, c := range cliques {
-		sum += s.PotentialTemporal(c, o, nowMonth)
 	}
 	return sum
 }

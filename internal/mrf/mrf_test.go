@@ -227,69 +227,6 @@ func TestScoreRanksTopicMatchFirst(t *testing.T) {
 	}
 }
 
-func TestPotentialTemporalDecay(t *testing.T) {
-	c, m, ids := world(t)
-	p := Params{Lambda: []float64{1}, Alpha: 0, UseCorS: false, Delta: 0.5}
-	s, err := NewScorer(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o0 := c.Object(0)
-	base := fig.Clique{Feats: []media.FID{ids["hamster"]}, Month: 10}
-	now := 12
-	undecayed := s.Potential(base, o0)
-	got := s.PotentialTemporal(base, o0, now)
-	want := undecayed * 0.25 // δ² for 2 months of age
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("temporal = %v, want %v", got, want)
-	}
-	// Untimed cliques and future cliques do not decay.
-	untimed := fig.Clique{Feats: []media.FID{ids["hamster"]}, Month: -1}
-	if got := s.PotentialTemporal(untimed, o0, now); math.Abs(got-undecayed) > 1e-12 {
-		t.Errorf("untimed clique decayed: %v", got)
-	}
-	future := fig.Clique{Feats: []media.FID{ids["hamster"]}, Month: 20}
-	if got := s.PotentialTemporal(future, o0, now); math.Abs(got-undecayed) > 1e-12 {
-		t.Errorf("future clique decayed: %v", got)
-	}
-	// Delta == 1 short-circuits.
-	s1, err := NewScorer(m, Params{Lambda: []float64{1}, Alpha: 0, Delta: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s1.PotentialTemporal(base, o0, now); math.Abs(got-s1.Potential(base, o0)) > 1e-12 {
-		t.Errorf("delta=1 should not decay, got %v", got)
-	}
-}
-
-func TestScoreTemporalPrefersRecentInterests(t *testing.T) {
-	c, m, ids := world(t)
-	s, err := NewScorer(m, Params{Lambda: []float64{1}, Alpha: 0, UseCorS: false, Delta: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Profile: old pets clique (month 0), recent cars clique (month 5).
-	profile := []fig.Clique{
-		{Feats: []media.FID{ids["hamster"]}, Month: 0},
-		{Feats: []media.FID{ids["car"]}, Month: 5},
-	}
-	now := 6
-	pets := s.ScoreTemporal(profile, c.Object(1), now) // hamster+vegetable
-	cars := s.ScoreTemporal(profile, c.Object(2), now) // car+engine
-	if !(cars > pets) {
-		t.Errorf("recent interest should win: cars=%v pets=%v", cars, pets)
-	}
-	// Without decay the old interest's higher frequency can dominate.
-	sFlat, err := NewScorer(m, Params{Lambda: []float64{1}, Alpha: 0, UseCorS: false, Delta: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	petsFlat := sFlat.ScoreTemporal(profile, c.Object(1), now)
-	if petsFlat <= 0 {
-		t.Errorf("flat pets score = %v, want positive", petsFlat)
-	}
-}
-
 func TestNewScorerRejectsInvalidParams(t *testing.T) {
 	_, m, _ := world(t)
 	if _, err := NewScorer(m, Params{}); err == nil {

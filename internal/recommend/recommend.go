@@ -9,16 +9,14 @@
 package recommend
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"figfusion/internal/corr"
 	"figfusion/internal/fig"
 	"figfusion/internal/media"
 	"figfusion/internal/mrf"
-	"figfusion/internal/numeric"
 	"figfusion/internal/topk"
 )
 
@@ -69,22 +67,21 @@ func New(m *corr.Model, cfg Config) (*Recommender, error) {
 // Temporal reports whether the recommender applies Eq. 10 decay.
 func (r *Recommender) Temporal() bool { return r.temporal }
 
-// weightedClique is a deduplicated profile clique: Weight collapses every
-// timestamped occurrence into Σ_occurrences δ^(now − t_i) (or the plain
-// occurrence count when decay is off), which scores identically to summing
-// ϕ_rec over the raw occurrences but evaluates each potential once.
-type weightedClique struct {
-	clique fig.Clique
-	weight float64
-}
-
-// Profile is a preprocessed user history ready for scoring.
+// Profile is a preprocessed user history ready for scoring: the history's
+// distinct cliques compiled into the production scoring kernel, each with
+// its Eq. 10 multiplier. decay[i] collapses every timestamped occurrence
+// of clique i into Σ_occurrences δ^(now − t_i) (or the plain occurrence
+// count when decay is off), which scores identically to summing ϕ_rec over
+// the raw occurrences but evaluates each potential once. Like a prepared
+// query, a Profile is invalidated by any corpus mutation: the Eq. 9
+// weights are compiled in.
 type Profile struct {
-	cliques []weightedClique
+	cs    *mrf.CliqueSet
+	decay []float64
 }
 
 // Len returns the number of distinct cliques in the profile.
-func (p *Profile) Len() int { return len(p.cliques) }
+func (p *Profile) Len() int { return len(p.decay) }
 
 // BuildProfile converts a favourite history into a scored profile as of
 // month now. Decay is applied per Eq. 10 when the recommender is temporal.
@@ -92,7 +89,8 @@ func (r *Recommender) BuildProfile(history []*media.Object, now int) *Profile {
 	raw := fig.ProfileCliques(history, r.Model, r.buildOpts, r.enumOpts)
 	delta := r.Scorer.Params.Delta
 	byKey := make(map[string]int)
-	p := &Profile{}
+	var cliques []fig.Clique
+	var decay []float64
 	for _, c := range raw {
 		w := 1.0
 		if r.temporal && delta < 1 {
@@ -103,74 +101,38 @@ func (r *Recommender) BuildProfile(history []*media.Object, now int) *Profile {
 			w = math.Pow(delta, float64(age))
 		}
 		if i, ok := byKey[c.Key()]; ok {
-			p.cliques[i].weight += w
+			decay[i] += w
 			continue
 		}
-		byKey[c.Key()] = len(p.cliques)
-		p.cliques = append(p.cliques, weightedClique{clique: c, weight: w})
+		byKey[c.Key()] = len(cliques)
+		cliques = append(cliques, c)
+		decay = append(decay, w)
 	}
-	return p
+	return &Profile{cs: r.Scorer.CompileDecayed(cliques, decay), decay: decay}
 }
 
 // Score computes the profile's similarity to one candidate object.
 func (r *Recommender) Score(p *Profile, o *media.Object) float64 {
-	var sum float64
-	for _, wc := range p.cliques {
-		if numeric.IsZero(wc.weight) {
-			continue
-		}
-		sum += wc.weight * r.Scorer.Potential(wc.clique, o)
-	}
-	return sum
+	return p.cs.Score(o)
 }
 
 // Recommend ranks the candidate objects for the given history as of month
 // now and returns the top k (Definition 2).
 func (r *Recommender) Recommend(history []*media.Object, candidates []media.ObjectID, k, now int) []topk.Item {
-	p := r.BuildProfile(history, now)
-	return r.RecommendProfile(p, candidates, k)
+	// context.Background is never cancelled, so no error can come back.
+	out, _ := r.RecommendContext(context.Background(), history, candidates, k, now)
+	return out
+}
+
+// RecommendContext is Recommend under a context: once it is done the
+// ranking stops and ctx.Err() comes back with no items.
+func (r *Recommender) RecommendContext(ctx context.Context, history []*media.Object, candidates []media.ObjectID, k, now int) ([]topk.Item, error) {
+	return r.RecommendProfile(ctx, r.BuildProfile(history, now), candidates, k)
 }
 
 // RecommendProfile ranks candidates against a prebuilt profile, letting
 // callers reuse the profile across parameter sweeps. Scoring fans out
 // across CPUs; results are deterministic (ties break by object ID).
-func (r *Recommender) RecommendProfile(p *Profile, candidates []media.ObjectID, k int) []topk.Item {
-	corpus := r.Model.Stats.Corpus()
-	workers := runtime.NumCPU()
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	if workers <= 1 {
-		h := topk.NewHeap(k)
-		for _, oid := range candidates {
-			if s := r.Score(p, corpus.Object(oid)); s > 0 {
-				h.Push(topk.Item{ID: oid, Score: s})
-			}
-		}
-		return h.Results()
-	}
-	partial := make([][]topk.Item, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := topk.NewHeap(k)
-			for i := w; i < len(candidates); i += workers {
-				oid := candidates[i]
-				if s := r.Score(p, corpus.Object(oid)); s > 0 {
-					h.Push(topk.Item{ID: oid, Score: s})
-				}
-			}
-			partial[w] = h.Results()
-		}(w)
-	}
-	wg.Wait()
-	h := topk.NewHeap(k)
-	for _, items := range partial {
-		for _, it := range items {
-			h.Push(it)
-		}
-	}
-	return h.Results()
+func (r *Recommender) RecommendProfile(ctx context.Context, p *Profile, candidates []media.ObjectID, k int) ([]topk.Item, error) {
+	return p.cs.Rank(ctx, candidates, k, 0, nil)
 }

@@ -1,6 +1,7 @@
 package recommend
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -116,17 +117,17 @@ func TestBuildProfileWeights(t *testing.T) {
 	}
 	// Weights are in (0, len(history)] — each occurrence contributes at
 	// most δ^0 = 1.
-	for _, wc := range prof.cliques {
-		if wc.weight <= 0 || wc.weight > float64(len(hist)) {
-			t.Errorf("weight %v out of range", wc.weight)
+	for _, w := range prof.decay {
+		if w <= 0 || w > float64(len(hist)) {
+			t.Errorf("weight %v out of range", w)
 		}
 	}
 	// Non-temporal weights are integer occurrence counts.
 	rFlat := newRec(t, rd, Config{Temporal: false, Params: params})
 	profFlat := rFlat.BuildProfile(hist, rd.Now)
-	for _, wc := range profFlat.cliques {
-		if wc.weight != math.Trunc(wc.weight) {
-			t.Errorf("flat weight %v not integral", wc.weight)
+	for _, w := range profFlat.decay {
+		if w != math.Trunc(w) {
+			t.Errorf("flat weight %v not integral", w)
 		}
 	}
 }
@@ -205,6 +206,8 @@ func BenchmarkRecommend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.RecommendProfile(prof, rd.Candidates, 10)
+		if _, err := r.RecommendProfile(context.Background(), prof, rd.Candidates, 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -92,19 +92,21 @@ func blockBounds(dst []float64, cs *mrf.CliqueSet, ci int, entry *index.Entry, g
 }
 
 // lazyShared is the state all of one query's lazy cursors share. The
-// merge is single-goroutine, so plain fields suffice: once poll observes
-// a done context the cancelled flag flips and every cursor reports
-// exhaustion, unwinding the merge without scoring another posting.
+// merge is single-goroutine, so plain fields and one scoring scratch
+// suffice: once poll observes a done context the cancelled flag flips and
+// every cursor reports exhaustion, unwinding the merge without scoring
+// another posting.
 type lazyShared struct {
 	ctx       context.Context
 	done      <-chan struct{}
 	cancelled bool
+	sc        *mrf.Scratch
 }
 
 // poll checks the context (only when it is cancellable) and latches the
-// result. Called once per materialised block — at most index.BlockLen
-// potentials between checks, the same cancellation latency class as
-// cancelStride.
+// result. Called once per block of postings scored — at most
+// index.BlockLen potentials between checks, the same cancellation latency
+// class as the ranking loop's stride.
 func (s *lazyShared) poll() bool {
 	if s.cancelled {
 		return true
@@ -226,7 +228,7 @@ func (c *lazyCursor) materialize(bi int32) {
 		if oid == c.exclude {
 			continue
 		}
-		p := c.cs.Potential(c.ci, c.corpus.Object(oid))
+		p := c.cs.PotentialScratch(c.shared.sc, c.ci, c.corpus.Object(oid))
 		memo[j] = p
 		if p <= 0 {
 			continue
@@ -338,7 +340,7 @@ func (c *lazyCursor) score(id media.ObjectID) float64 {
 			return 0
 		}
 	}
-	p := c.cs.Potential(c.ci, c.corpus.Object(id))
+	p := c.cs.PotentialScratch(c.shared.sc, c.ci, c.corpus.Object(id))
 	if p <= 0 {
 		return 0
 	}
@@ -354,16 +356,14 @@ func (c *lazyCursor) score(id media.ObjectID) float64 {
 // the threshold never reaches are never scored at all. Lists whose block
 // summaries are stale (untouched entries after an Insert, or a pre-blocks
 // snapshot) are materialised eagerly, which is precisely the unpruned
-// behaviour for that list. Cancellation is polled once per materialised
-// block (≤ index.BlockLen postings, comparable to cancelStride) and once
-// per stale-list stride.
+// behaviour for that list. Cancellation is polled once per block of
+// postings scored (≤ index.BlockLen), materialised or stale.
 func (e *Engine) searchTALazy(ctx context.Context, cs *mrf.CliqueSet, entries []*index.Entry, exclude media.ObjectID, k int, tr *obs.QueryTrace) ([]topk.Item, error) {
 	corpus := e.Model.Stats.Corpus()
 	gen := e.Model.Generation()
-	done := ctx.Done()
-	shared := &lazyShared{ctx: ctx, done: done}
+	shared := &lazyShared{ctx: ctx, done: ctx.Done(), sc: cs.GetScratch()}
+	defer cs.PutScratch(shared.sc)
 	cursors := make([]*lazyCursor, 0, len(entries))
-	cnt := 0
 	for i, entry := range entries {
 		if entry == nil {
 			continue
@@ -374,15 +374,14 @@ func (e *Engine) searchTALazy(ctx context.Context, cs *mrf.CliqueSet, entries []
 		}
 		ub := blockBounds(nil, cs, i, entry, gen)
 		if ub == nil {
-			for _, oid := range entry.Objects {
-				if done != nil && cnt%cancelStride == 0 && ctx.Err() != nil {
+			for j, oid := range entry.Objects {
+				if j%index.BlockLen == 0 && shared.poll() {
 					return nil, ctx.Err()
 				}
-				cnt++
 				if oid == exclude {
 					continue
 				}
-				p := cs.Potential(i, corpus.Object(oid))
+				p := cs.PotentialScratch(shared.sc, i, corpus.Object(oid))
 				if p <= 0 {
 					continue
 				}

@@ -1,23 +1,27 @@
 // Package retrieval implements the social media retrieval engine of
 // Sections 3.3–3.5. A query object is converted to its Feature Interaction
-// Graph, the graph's cliques are extracted, and candidates are ranked by the
-// MRF similarity score. Two search paths are provided:
+// Graph, the graph's cliques are extracted and compiled (mrf.CliqueSet),
+// and candidates are ranked by the MRF similarity score. The search paths
+// differ only in where the candidates come from and what scores them:
 //
-//   - Search — Algorithm 1: probe the clique inverted index for each query
-//     clique, score the candidates of each list with the potential function,
-//     and merge the ranked lists with the Threshold Algorithm. Objects
-//     sharing no clique with the query are pruned, which is the index's
-//     (paper-prescribed) approximation.
-//   - SearchScan — the sequential comparison of Section 3.5's first stage:
-//     score every database object, used as the exactness reference and the
-//     no-index ablation.
+//   - Search — Section 3.5: the union of the query cliques' posting lists
+//     is the candidate set and every candidate receives the full Eq. 6
+//     score. Objects sharing no clique with the query are pruned, which is
+//     the index's (paper-prescribed) approximation.
+//   - SearchTA — Algorithm 1: each query clique's posting list is scored by
+//     that clique's potential alone and the ranked lists are merged with
+//     the Threshold Algorithm (block-max pruned on the serving binaries).
+//   - SearchScan / SearchAmong — the sequential comparison of Section 3.5's
+//     first stage: full scores for every database object (or a given
+//     candidate set), the exactness reference and the no-index ablation.
+//
+// All of them rank through mrf.CliqueSet.Rank, the one scoring loop.
 package retrieval
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -157,8 +161,8 @@ func (e *Engine) Search(q *media.Object, k int, exclude media.ObjectID) []topk.I
 }
 
 // SearchContext is Search under a context: cancellation and deadline are
-// honoured between scoring stripes (every cancelStride candidates per
-// worker), returning ctx.Err() with no results once the context is done.
+// honoured inside the ranking loop (see mrf.CliqueSet.Rank), returning
+// ctx.Err() with no results once the context is done.
 // With an undone context the results are byte-identical to Search.
 func (e *Engine) SearchContext(ctx context.Context, q *media.Object, k int, exclude media.ObjectID) ([]topk.Item, error) {
 	if e.Index == nil {
@@ -266,7 +270,7 @@ func (e *Engine) SearchPreparedContext(ctx context.Context, p *PreparedQuery, k 
 	candidates := acc.merge(exclude)
 	tr.End(obs.StageGather, st)
 	tr.SetCandidates(len(candidates))
-	out, err := e.scoreCandidates(ctx, p.cs, candidates, k, tr)
+	out, err := p.cs.Rank(ctx, candidates, k, e.workers, tr)
 	e.metrics.finish(tr)
 	return out, err
 }
@@ -302,7 +306,7 @@ func (e *Engine) SearchTAPreparedContext(ctx context.Context, p *PreparedQuery, 
 		return out, err
 	}
 	st = tr.Begin()
-	lists, err := e.cliqueLists(ctx, p.cs, acc.entries, exclude, true)
+	lists, err := e.cliqueLists(ctx, p.cs, acc.entries, exclude)
 	tr.End(obs.StageScore, st)
 	if err != nil {
 		e.metrics.finish(tr)
@@ -313,96 +317,6 @@ func (e *Engine) SearchTAPreparedContext(ctx context.Context, p *PreparedQuery, 
 	tr.End(obs.StageMerge, st)
 	e.metrics.finish(tr)
 	return out, nil
-}
-
-// cancelStride is how many candidates a scoring loop processes between
-// context checks. Scoring one candidate costs microseconds, so a stride of
-// 64 bounds cancellation latency well under a millisecond while keeping
-// the per-candidate overhead to a predictable-taken branch.
-const cancelStride = 64
-
-// scoreCandidates applies the full compiled MRF score to every candidate
-// and keeps the top k. With more than one configured worker and enough
-// candidates to matter, scoring stripes across goroutines; the partial
-// top-k lists merge under topk.Less's total order, so the result is
-// byte-identical at any worker count. Cancellation is checked every
-// cancelStride candidates per stripe — only when the context is
-// cancellable (done channel non-nil), so Background-context searches pay
-// nothing.
-func (e *Engine) scoreCandidates(ctx context.Context, cs *mrf.CliqueSet, candidates []media.ObjectID, k int, tr *obs.QueryTrace) ([]topk.Item, error) {
-	corpus := e.Model.Stats.Corpus()
-	done := ctx.Done()
-	workers := e.workerCount(len(candidates))
-	if workers <= 1 || len(candidates) < 2*workers {
-		sc := cs.GetScratch()
-		defer cs.PutScratch(sc)
-		st := tr.Begin()
-		h := topk.NewHeap(k)
-		for i, oid := range candidates {
-			if done != nil && i%cancelStride == 0 && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			if s := cs.ScoreScratch(sc, corpus.Object(oid)); s > 0 {
-				h.Push(topk.Item{ID: oid, Score: s})
-			}
-		}
-		tr.End(obs.StageScore, st)
-		st = tr.Begin()
-		out := h.Results()
-		tr.End(obs.StageMerge, st)
-		return out, nil
-	}
-	partial := make([][]topk.Item, workers)
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	st := tr.Begin()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := cs.GetScratch()
-			defer cs.PutScratch(sc)
-			h := topk.NewHeap(k)
-			n := 0
-			for i := w; i < len(candidates); i += workers {
-				if done != nil && n%cancelStride == 0 && ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				n++
-				oid := candidates[i]
-				if s := cs.ScoreScratch(sc, corpus.Object(oid)); s > 0 {
-					h.Push(topk.Item{ID: oid, Score: s})
-				}
-			}
-			partial[w] = h.Results()
-		}(w)
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return nil, ctx.Err()
-	}
-	tr.End(obs.StageScore, st)
-	st = tr.Begin()
-	out := topk.MergeRanked(partial, k)
-	tr.End(obs.StageMerge, st)
-	return out, nil
-}
-
-// workerCount resolves the configured scoring fan-out against the size of
-// the work at hand.
-func (e *Engine) workerCount(n int) int {
-	w := e.workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // SearchTA is the literal Algorithm 1 variant: every query clique's posting
@@ -416,8 +330,8 @@ func (e *Engine) SearchTA(q *media.Object, k int, exclude media.ObjectID) []topk
 }
 
 // SearchTAContext is SearchTA under a context, with the same cancellation
-// contract as SearchContext: checked every cancelStride postings while the
-// per-clique lists build, partial work discarded on cancellation.
+// contract as SearchContext: checked while the per-clique lists build,
+// partial work discarded on cancellation.
 func (e *Engine) SearchTAContext(ctx context.Context, q *media.Object, k int, exclude media.ObjectID) ([]topk.Item, error) {
 	if e.Index == nil {
 		return e.SearchScanContext(ctx, q, k, exclude)
@@ -425,87 +339,35 @@ func (e *Engine) SearchTAContext(ctx context.Context, q *media.Object, k int, ex
 	return e.SearchTAPreparedContext(ctx, e.Prepare(q), k, exclude)
 }
 
-// cliqueLists scores each indexed query clique's posting list with that
-// clique's potential alone — Algorithm 1's per-list scores. Lists come back
-// in clique order (the order ThresholdMerge visits them, which matters at
-// exact score ties); cliques without an index entry are skipped, matching
-// the previous sequential construction. When sorted is set each list is
-// ranked best-first, as TA requires. List construction stripes across the
-// configured workers since the lists are independent. Cancellation is
-// checked every cancelStride postings per stripe (the counter carries
-// across lists so short posting lists still hit the check), only when the
-// context is cancellable — Background-context callers pay nothing.
-func (e *Engine) cliqueLists(ctx context.Context, cs *mrf.CliqueSet, entries []*index.Entry, exclude media.ObjectID, sorted bool) ([][]topk.Item, error) {
-	corpus := e.Model.Stats.Corpus()
-	done := ctx.Done()
-	slots := make([][]topk.Item, len(entries))
-	fill := func(i, cnt int) (int, bool) {
-		entry := entries[i]
-		list := make([]topk.Item, 0, len(entry.Objects))
-		for _, oid := range entry.Objects {
-			if done != nil && cnt%cancelStride == 0 && ctx.Err() != nil {
-				return cnt, false
-			}
-			cnt++
-			if oid == exclude {
-				continue
-			}
-			score := cs.Potential(i, corpus.Object(oid))
-			if score <= 0 {
-				continue
-			}
-			list = append(list, topk.Item{ID: oid, Score: score})
-		}
-		if sorted {
-			sortItems(list)
-		}
-		slots[i] = list
-		return cnt, true
-	}
-	workers := e.workerCount(len(entries))
-	if workers <= 1 {
-		cnt := 0
-		for i := range entries {
-			if entries[i] == nil {
-				continue
-			}
-			var ok bool
-			if cnt, ok = fill(i, cnt); !ok {
-				return nil, ctx.Err()
-			}
-		}
-	} else {
-		var cancelled atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				cnt := 0
-				for i := w; i < len(entries); i += workers {
-					if entries[i] == nil {
-						continue
-					}
-					var ok bool
-					if cnt, ok = fill(i, cnt); !ok {
-						cancelled.Store(true)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		if cancelled.Load() {
-			return nil, ctx.Err()
-		}
-	}
+// cliqueLists ranks each indexed query clique's posting list by that
+// clique's potential alone — Algorithm 1's per-list scores, best-first as
+// TA requires. Lists come back in clique order (the order ThresholdMerge
+// visits them, which matters at exact score ties); cliques without an
+// index entry are skipped.
+func (e *Engine) cliqueLists(ctx context.Context, cs *mrf.CliqueSet, entries []*index.Entry, exclude media.ObjectID) ([][]topk.Item, error) {
 	lists := make([][]topk.Item, 0, len(entries))
-	for i := range entries {
-		if entries[i] != nil {
-			lists = append(lists, slots[i])
+	for i, entry := range entries {
+		if entry == nil {
+			continue
 		}
+		list, err := cs.RankClique(ctx, i, without(entry.Objects, exclude), e.workers)
+		if err != nil {
+			return nil, err
+		}
+		lists = append(lists, list)
 	}
 	return lists, nil
+}
+
+// without returns the sorted posting list minus exclude — the list itself
+// when exclude is not on it.
+func without(postings []media.ObjectID, exclude media.ObjectID) []media.ObjectID {
+	i := sort.Search(len(postings), func(i int) bool { return postings[i] >= exclude })
+	if i == len(postings) || postings[i] != exclude {
+		return postings
+	}
+	out := make([]media.ObjectID, 0, len(postings)-1)
+	return append(append(out, postings[:i]...), postings[i+1:]...)
 }
 
 // SearchScan ranks every database object by the full MRF score — the
@@ -517,80 +379,39 @@ func (e *Engine) SearchScan(q *media.Object, k int, exclude media.ObjectID) []to
 }
 
 // SearchScanContext is SearchScan under a context, with the same
-// cancellation contract as SearchContext.
+// cancellation contract as SearchContext: SearchAmong over every object
+// but exclude.
 func (e *Engine) SearchScanContext(ctx context.Context, q *media.Object, k int, exclude media.ObjectID) ([]topk.Item, error) {
+	n := e.Model.Stats.Corpus().Len()
+	candidates := make([]media.ObjectID, 0, n)
+	for id := media.ObjectID(0); int(id) < n; id++ {
+		if id != exclude {
+			candidates = append(candidates, id)
+		}
+	}
+	return e.SearchAmongContext(ctx, q, candidates, k)
+}
+
+// SearchAmong ranks only the given candidates by the full MRF score — the
+// scan restricted to a candidate set (the recommendation-style evaluation).
+func (e *Engine) SearchAmong(q *media.Object, candidates []media.ObjectID, k int) []topk.Item {
+	out, _ := e.SearchAmongContext(context.Background(), q, candidates, k)
+	return out
+}
+
+// SearchAmongContext is SearchAmong under a context — the one body of the
+// index-less search.
+func (e *Engine) SearchAmongContext(ctx context.Context, q *media.Object, candidates []media.ObjectID, k int) ([]topk.Item, error) {
 	tr := e.metrics.begin(obs.PathScan)
 	st := tr.Begin()
-	cliques := e.QueryCliques(q)
 	// The scan path is the exactness reference: weights come from the
 	// scorer (nil ⇒ computed through its cache), never the index.
-	cs := e.Scorer.Compile(cliques, nil)
+	cs := e.Scorer.Compile(e.QueryCliques(q), nil)
 	tr.End(obs.StagePrepare, st)
-	corpus := e.Model.Stats.Corpus()
-	n := corpus.Len()
-	tr.SetCandidates(n)
-	done := ctx.Done()
-	workers := e.workerCount(n)
-	if workers <= 1 {
-		sc := cs.NewScratch()
-		st = tr.Begin()
-		h := topk.NewHeap(k)
-		for i, o := range corpus.Objects {
-			if done != nil && i%cancelStride == 0 && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			if o.ID == exclude {
-				continue
-			}
-			if s := cs.ScoreScratch(sc, o); s > 0 {
-				h.Push(topk.Item{ID: o.ID, Score: s})
-			}
-		}
-		tr.End(obs.StageScore, st)
-		st = tr.Begin()
-		out := h.Results()
-		tr.End(obs.StageMerge, st)
-		e.metrics.finish(tr)
-		return out, nil
-	}
-	partial := make([][]topk.Item, workers)
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	st = tr.Begin()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := cs.NewScratch()
-			h := topk.NewHeap(k)
-			cnt := 0
-			for i := w; i < n; i += workers {
-				if done != nil && cnt%cancelStride == 0 && ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				cnt++
-				o := corpus.Object(media.ObjectID(i))
-				if o.ID == exclude {
-					continue
-				}
-				if s := cs.ScoreScratch(sc, o); s > 0 {
-					h.Push(topk.Item{ID: o.ID, Score: s})
-				}
-			}
-			partial[w] = h.Results()
-		}(w)
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return nil, ctx.Err()
-	}
-	tr.End(obs.StageScore, st)
-	st = tr.Begin()
-	out := topk.MergeRanked(partial, k)
-	tr.End(obs.StageMerge, st)
+	tr.SetCandidates(len(candidates))
+	out, err := cs.Rank(ctx, candidates, k, e.workers, tr)
 	e.metrics.finish(tr)
-	return out, nil
+	return out, err
 }
 
 // SearchMergeFull is the no-TA ablation of SearchTA: identical per-clique
@@ -610,29 +431,11 @@ func (e *Engine) SearchMergeFullContext(ctx context.Context, q *media.Object, k 
 	acc := getAccum()
 	defer putAccum(acc)
 	acc.lookupKeys(e.Index, p.keys)
-	lists, err := e.cliqueLists(ctx, p.cs, acc.entries, exclude, false)
+	lists, err := e.cliqueLists(ctx, p.cs, acc.entries, exclude)
 	if err != nil {
 		return nil, err
 	}
 	return topk.FullMerge(lists, k), nil
-}
-
-func sortItems(items []topk.Item) {
-	// Insertion sort is enough for typical posting lengths; fall back to
-	// heap-based ordering for long lists.
-	if len(items) < 64 {
-		for i := 1; i < len(items); i++ {
-			for j := i; j > 0 && topk.Less(items[j], items[j-1]); j-- {
-				items[j], items[j-1] = items[j-1], items[j]
-			}
-		}
-		return
-	}
-	h := topk.NewHeap(len(items))
-	for _, it := range items {
-		h.Push(it)
-	}
-	copy(items, h.Results())
 }
 
 // Insert ingests one new object into a live engine without a rebuild — the

@@ -33,8 +33,9 @@ func (downBackend) Objects(ctx context.Context) (int, error) { return 0, errDown
 func (downBackend) Close() error                             { return nil }
 
 // TestErrorEnvelopeShapes pins the failure envelopes from one table: the
-// degraded-cluster 503, the shed 503, the query-timeout 504 and the
-// stamped-insert 409 all answer the {"error":{code,message}} shape, and
+// degraded-cluster 503, the shed 503, the query-timeout 504 (search and
+// recommend), recommend's out-of-range k 400 and the stamped-insert 409
+// all answer the {"error":{code,message}} shape, and
 // exactly the 503s carry Retry-After — the client contract's signal that
 // the request is safe to retry after backing off.
 func TestErrorEnvelopeShapes(t *testing.T) {
@@ -82,6 +83,30 @@ func TestErrorEnvelopeShapes(t *testing.T) {
 			handler: func() http.Handler { s, _ := testShardedServerOpts(t, 2, timeoutOpts); return s.Handler() }(),
 			method:  "GET", target: "/v1/search?id=5&k=4",
 			status: http.StatusGatewayTimeout, code: api.CodeDeadlineExceeded,
+			wantRetryAfter: false,
+		},
+		{
+			name:    "recommend timeout",
+			handler: func() http.Handler { s, _ := testShardedServerOpts(t, 2, timeoutOpts); return s.Handler() }(),
+			method:  "POST", target: "/v1/recommend",
+			body:   `{"history":[1,2,3],"k":5}`,
+			status: http.StatusGatewayTimeout, code: api.CodeDeadlineExceeded,
+			wantRetryAfter: false,
+		},
+		{
+			name:    "recommend k above range",
+			handler: func() http.Handler { s, _ := testServer(t); return s.Handler() }(),
+			method:  "POST", target: "/v1/recommend",
+			body:   `{"history":[1,2,3],"k":5000}`,
+			status: http.StatusBadRequest, code: api.CodeInvalidArgument,
+			wantRetryAfter: false,
+		},
+		{
+			name:    "recommend negative k",
+			handler: func() http.Handler { s, _ := testServer(t); return s.Handler() }(),
+			method:  "POST", target: "/v1/recommend",
+			body:   `{"history":[1,2,3],"k":-3}`,
+			status: http.StatusBadRequest, code: api.CodeInvalidArgument,
 			wantRetryAfter: false,
 		},
 		{

@@ -490,15 +490,22 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "bad JSON: %v", err)
 		return
 	}
-	if req.K < 1 || req.K > 1000 {
+	if req.K == 0 {
 		req.K = 10
+	}
+	if req.K < 1 || req.K > 1000 {
+		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "k must be in [1,1000], got %d", req.K)
+		return
 	}
 	if len(req.History) == 0 {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "history must not be empty")
 		return
 	}
+	ctx, cancel := s.queryContext(r)
+	defer cancel()
 	var resp api.SearchResponse
 	status, errMsg := 0, ""
+	var rerr error
 	// The recommender reads corpus-global statistics throughout scoring, so
 	// the whole request stays pinned in one view.
 	s.backend.View(func() {
@@ -522,7 +529,10 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 				candidates = append(candidates, id)
 			}
 		}
-		results := s.rec.Recommend(history, candidates, req.K, req.Now)
+		var results []topk.Item
+		if results, rerr = s.rec.RecommendContext(ctx, history, candidates, req.K, req.Now); rerr != nil {
+			return
+		}
 		resp = api.SearchResponse{Query: fmt.Sprintf("recommend:%d-item history", len(history))}
 		for _, it := range results {
 			o := corpus.Object(it.ID)
@@ -536,6 +546,10 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	})
 	if status != 0 {
 		writeError(w, status, api.CodeInvalidArgument, "%s", errMsg)
+		return
+	}
+	if rerr != nil {
+		s.writeSearchError(w, rerr)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
