@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,10 +74,7 @@ func main() {
 	fmt.Printf("wrote %s: %d objects, %d features, %d topics, %d users, %d visual words\n",
 		*out, d.Corpus.Len(), d.Corpus.Dict.Len(), cfg.NumTopics, d.Network.Len(), d.Vocab.Size())
 	if *idxOut != "" && *shards > 1 {
-		// Thresholds must match what figserver trains at startup, or the
-		// loaded snapshot pairs with a different clique structure.
-		model := d.Model()
-		model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(*seed+13)))
+		model := d.TrainedModel(*seed)
 		router, err := shard.NewRouter(model, shard.Config{Shards: *shards})
 		if err != nil {
 			log.Fatal(err)
@@ -94,8 +90,7 @@ func main() {
 		return
 	}
 	if *idxOut != "" {
-		model := d.Model()
-		model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(*seed+13)))
+		model := d.TrainedModel(*seed)
 		inv := index.Build(model, fig.Options{}, fig.EnumerateOptions{})
 		if err := atomicfile.Write(*idxOut, inv.Save); err != nil {
 			log.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -59,8 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := d.Model()
-	model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(*seed+13)))
+	model := d.TrainedModel(*seed)
 	engine, err := retrieval.NewEngine(model, retrieval.Config{SkipIndex: *scan, Pruning: retrieval.PruneBlockMax})
 	if err != nil {
 		log.Fatal(err)

@@ -39,7 +39,6 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
@@ -82,8 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := d.Model()
-	model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(opts.Seed+13)))
+	model := d.TrainedModel(opts.Seed)
 	retrievalCfg := retrieval.Config{Workers: opts.Workers, Pruning: retrieval.PruneBlockMax}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

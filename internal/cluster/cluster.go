@@ -340,7 +340,9 @@ func (c *Cluster) Insert(feats []media.Feature, counts []int, month int) (*media
 // statistics missed the append) and the insert still succeeds. When expect
 // >= 0 the caller's own stamp is checked against the mirror first.
 func (c *Cluster) InsertContext(ctx context.Context, feats []media.Feature, counts []int, month int, expect int) (*media.Object, error) {
-	if err := validateInsert(feats, counts); err != nil {
+	// Checked up front so the mirror append after the owner's commit
+	// cannot fail on bad input.
+	if err := media.ValidateFeatures(feats, counts); err != nil {
 		return nil, err
 	}
 	c.insertMu.Lock()
@@ -361,9 +363,10 @@ func (c *Cluster) InsertContext(ctx context.Context, feats []media.Feature, coun
 	}
 	o, err := c.appendMirror(feats, counts, month)
 	if err != nil {
-		// validateInsert makes mirror appends infallible in practice; a
-		// failure here means owner and mirror have skewed, so stop serving
-		// through the owner until a probe or re-bootstrap reconciles.
+		// The validation above makes mirror appends infallible in
+		// practice; a failure here means owner and mirror have skewed, so
+		// stop serving through the owner until a probe or re-bootstrap
+		// reconciles.
 		own.divergent.Store(true)
 		return nil, fmt.Errorf("cluster: mirror append after owner commit: %w", err)
 	}
@@ -398,39 +401,13 @@ func (c *Cluster) noteInsertFailure(n *node, err error) {
 	n.divergent.Store(true)
 }
 
-// validateInsert pre-checks what Corpus.Add would reject, so the mirror
-// append after the owner's commit cannot fail on bad input.
-func validateInsert(feats []media.Feature, counts []int) error {
-	if len(feats) == 0 {
-		return fmt.Errorf("cluster: insert needs at least one feature")
-	}
-	if len(feats) != len(counts) {
-		return fmt.Errorf("cluster: %d features but %d counts", len(feats), len(counts))
-	}
-	for i, n := range counts {
-		if n < 1 {
-			return fmt.Errorf("cluster: feature %d has count %d, want >= 1", i, n)
-		}
-	}
-	return nil
-}
-
 // appendMirror grows the mirror's corpus and statistics under the
 // exclusive statistics lock. The mirror carries no index; invalidating the
 // cache advances the model generation exactly as a node's append does.
 func (c *Cluster) appendMirror(feats []media.Feature, counts []int, month int) (*media.Object, error) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
-	corpus := c.mirror.Stats.Corpus()
-	o, err := corpus.Add(feats, counts, month)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.mirror.Stats.Append(o); err != nil {
-		return nil, err
-	}
-	c.mirror.InvalidateCache()
-	return o, nil
+	return c.mirror.Append(feats, counts, month)
 }
 
 // Start launches the background health-probe loop; it stops when ctx is

@@ -485,6 +485,59 @@ func TestStatsAppendValidation(t *testing.T) {
 	}
 }
 
+// TestModelAppend pins the one mutation path: Append grows corpus and
+// statistics together and advances the generation exactly once, a rejected
+// object changes nothing, and afterwards no memo serves a value of the
+// previous generation — not even one that a reader which captured the old
+// generation stores after the append (the late Put the fill sites'
+// re-check narrows but cannot exclude).
+func TestModelAppend(t *testing.T) {
+	c, ids := buildTinyCorpus(t)
+	m := NewModel(NewStats(c), nil, nil, nil, nil, nil)
+	cat, u1, o0 := ids["cat"], ids["u1"], c.Object(0)
+	pair := []media.FID{cat, u1}
+	read := func(m *Model) [3]float64 {
+		return [3]float64{m.Cor(cat, u1), m.CliqueWeight("cat|u1", pair), m.ObjectCor(cat, o0)}
+	}
+	before := read(m)
+	gen, objects, features := m.Generation(), c.Len(), c.Dict.Len()
+
+	tf := func(n string) media.Feature { return media.Feature{Kind: media.Text, Name: n} }
+	if _, err := m.Append([]media.Feature{tf("brandnew"), tf("x")}, []int{1, 0}, 0); err == nil {
+		t.Fatal("want error for a zero count")
+	}
+	if m.Generation() != gen || c.Len() != objects || c.Dict.Len() != features {
+		t.Fatalf("rejected Append left generation %d, %d objects, %d features; want %d, %d, %d",
+			m.Generation(), c.Len(), c.Dict.Len(), gen, objects, features)
+	}
+
+	o, err := m.Append([]media.Feature{tf("cat"), tf("car")}, []int{3, 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Generation(); got != gen+1 {
+		t.Errorf("generation after one Append = %d, want %d", got, gen+1)
+	}
+	if post := m.Stats.Postings(cat); c.Object(o.ID) != o || post[len(post)-1] != o.ID {
+		t.Errorf("object %d missing from the corpus or from cat's postings %v", o.ID, post)
+	}
+
+	// The racing reader's late stores, stamped with the generation it
+	// captured before the append.
+	m.cache.Put(gen, uint64(uint32(cat))<<32|uint64(uint32(u1)), -1)
+	m.cors.Put(gen, "cat|u1", -1)
+	m.smooth.Put(gen, uint64(uint32(cat))<<32|uint64(uint32(o0.ID)), -1)
+	after, want := read(m), read(NewModel(NewStats(c), nil, nil, nil, nil, nil))
+	if after != want {
+		t.Errorf("after Append the memos serve %v, a cold model computes %v", after, want)
+	}
+	for i := range before {
+		if before[i] == want[i] {
+			t.Errorf("fixture drift: quantity %d unchanged by the append (%v)", i, want[i])
+		}
+	}
+}
+
 func TestTableStats(t *testing.T) {
 	m, _ := buildModel(t)
 	rng := rand.New(rand.NewSource(9))

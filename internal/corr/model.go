@@ -49,7 +49,9 @@ func DefaultThresholds() Thresholds {
 //	user × user     → shared-group correlation (graded by Jaccard);
 //	inter-type      → Eq. 1 statistical co-occurrence cosine.
 //
-// Cosine evaluations are memoised; the Model is safe for concurrent use.
+// The Model owns every memo derived from the corpus statistics (cosines,
+// clique weights, smoothing sums) and Append, the one mutation that drops
+// them. Safe for concurrent readers; Append must be serialized against them.
 type Model struct {
 	Stats      *Stats
 	Taxonomy   *lexicon.Taxonomy
@@ -64,14 +66,20 @@ type Model struct {
 	AudioVocab *vision.Vocabulary
 	AudioWord  map[media.FID]int
 
-	// gen counts invalidations of the corpus-global statistics. Every
-	// cache derived from them — the cosine cache here, the scorer-side
-	// CorS and smoothing caches — stamps its entries with the generation
-	// they were computed from, so caches owned by engines that never hear
-	// about an insert (WithParams clones share the Model but own their
-	// Scorer) still self-invalidate.
-	gen   atomic.Uint64
+	// gen counts invalidations of the corpus-global statistics. The memos
+	// below — and the weights and block summaries the inverted index stores
+	// — stamp what they hold with the generation it was computed from. No
+	// λ, α or δ enters them, so everything over this model shares them.
+	gen atomic.Uint64
+	// cache memoises the Eq. 1 cosine by ordered FID pair.
 	cache *floatcache.Cache[uint64]
+	// cors memoises the Eq. 9 clique weight by canonical clique key.
+	cors *floatcache.Cache[string]
+	// smooth memoises (FID, ObjectID) → Σ_{f_j∈O} Cor(f, f_j). Cliques
+	// share features heavily, so caching this sum turns the Eq. 7
+	// smoothing term from O(|c|·|O|) correlation evaluations per potential
+	// into O(|c|) lookups.
+	smooth *floatcache.Cache[uint64]
 }
 
 // NewModel wires a correlation model over the given substrates. Any of
@@ -88,6 +96,8 @@ func NewModel(stats *Stats, tax *lexicon.Taxonomy, vocab *vision.Vocabulary, net
 		UserOf:     userOf,
 		Thresholds: DefaultThresholds(),
 		cache:      floatcache.New[uint64](floatcache.HashUint64),
+		cors:       floatcache.New[string](floatcache.HashString),
+		smooth:     floatcache.New[uint64](floatcache.HashUint64),
 	}
 }
 
@@ -96,10 +106,23 @@ func NewModel(stats *Stats, tax *lexicon.Taxonomy, vocab *vision.Vocabulary, net
 // their entries.
 func (m *Model) Generation() uint64 { return m.gen.Load() }
 
-// CacheStats returns the cosine cache's lifetime hit and miss counts —
-// the observability hook the serving metrics expose. Misses are exact;
-// hits are a sampled estimate (see floatcache.Cache.Stats).
-func (m *Model) CacheStats() (hits, misses uint64) { return m.cache.Stats() }
+// CacheStats are the lifetime hit and miss counts of the model's three
+// memos — the observability hook the serving metrics expose. Misses are
+// exact; hits are a sampled estimate (see floatcache.Cache.Stats).
+type CacheStats struct {
+	CosineHits, CosineMisses uint64
+	CorSHits, CorSMisses     uint64
+	SmoothHits, SmoothMisses uint64
+}
+
+// CacheStats snapshots the memo counters.
+func (m *Model) CacheStats() CacheStats {
+	var s CacheStats
+	s.CosineHits, s.CosineMisses = m.cache.Stats()
+	s.CorSHits, s.CorSMisses = m.cors.Stats()
+	s.SmoothHits, s.SmoothMisses = m.smooth.Stats()
+	return s
+}
 
 // Cor returns the correlation between two interned features in [0, 1].
 func (m *Model) Cor(a, b media.FID) float64 {
@@ -171,6 +194,42 @@ func (m *Model) cosine(a, b media.FID) float64 {
 	// eliminates, the race.)
 	if m.gen.Load() == gen {
 		m.cache.Put(gen, key, v)
+	}
+	return v
+}
+
+// CliqueWeight is Stats.CliqueWeight, the Eq. 9 importance weight, memoised
+// under the clique's canonical key. The inverted index stores the same
+// quantity per entry, so indexed search paths rarely come here.
+func (m *Model) CliqueWeight(key string, feats []media.FID) float64 {
+	gen := m.gen.Load()
+	if v, ok := m.cors.Get(gen, key); ok {
+		return v
+	}
+	v := m.Stats.CliqueWeight(feats)
+	// Same store-side re-check as cosine.
+	if m.gen.Load() == gen {
+		m.cors.Put(gen, key, v)
+	}
+	return v
+}
+
+// ObjectCor returns the memoised Σ_{f_j∈O} Cor(f, f_j) — the inner sum of
+// the Eq. 7 smoothing term. o must belong to the model's corpus: the memo
+// is keyed by its stable ObjectID.
+func (m *Model) ObjectCor(f media.FID, o *media.Object) float64 {
+	key := uint64(uint32(f))<<32 | uint64(uint32(o.ID))
+	gen := m.gen.Load()
+	if v, ok := m.smooth.Get(gen, key); ok {
+		return v
+	}
+	var v float64
+	for _, fj := range o.Feats {
+		v += m.Cor(f, fj)
+	}
+	// Same store-side re-check as cosine.
+	if m.gen.Load() == gen {
+		m.smooth.Put(gen, key, v)
 	}
 	return v
 }
@@ -266,13 +325,29 @@ func (m *Model) TrainThresholdsWorkers(sampleObjects int, quantile float64, rng 
 	}
 }
 
-// InvalidateCache advances the statistics generation and drops memoised
-// cosine correlations. Call after appending objects to the underlying
-// statistics: co-occurrence cosines are corpus-global and shift with
-// every insertion. Downstream caches stamped with the old generation
-// (scorer CorS and smoothing sums, including those held by WithParams
-// clones that share this model) go stale automatically.
+// Append ingests one new object: it joins the corpus, the statistics grow
+// in place, and everything memoised from them is dropped, since every
+// corpus-global quantity shifts with an insertion. Bad input is rejected
+// before anything changes; trained thresholds are kept. Not safe to call
+// concurrently with readers of the model.
+func (m *Model) Append(feats []media.Feature, counts []int, month int) (*media.Object, error) {
+	o, err := m.Stats.Corpus().Add(feats, counts, month)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Stats.Append(o); err != nil {
+		return nil, err
+	}
+	m.InvalidateCache()
+	return o, nil
+}
+
+// InvalidateCache advances the statistics generation and drops the memos;
+// index-stored weights and block summaries of the old generation go stale
+// with them. Append's last step, exported for tests that grow Stats by hand.
 func (m *Model) InvalidateCache() {
 	m.gen.Add(1)
 	m.cache.Reset()
+	m.cors.Reset()
+	m.smooth.Reset()
 }

@@ -282,7 +282,7 @@ func (s *Stats) CorSWith(fids []media.FID, ws *WeightScratch) float64 {
 }
 
 // CliqueWeight returns the Eq. 9 importance weight of a clique's feature
-// set, the single definition served both by the scorer's query-time cache
+// set, the single definition served both by Model.CliqueWeight's memo
 // and by the CorS column the inverted index stores per entry (so indexed
 // search paths can skip recomputing it).
 //
@@ -328,8 +328,8 @@ func (s *Stats) CliqueWeightWith(fids []media.FID, ws *WeightScratch) float64 {
 // lists and frequency moments grow in place. The object must already be in
 // the corpus this Stats was built from (same ObjectID space) and must have
 // an ID larger than any previously accounted object, so posting lists stay
-// sorted. Callers owning derived caches (correlation cosines, CorS) must
-// invalidate them; corpus-level statistics shift with every insertion.
+// sorted. Model.Append is the caller that also drops what was memoised
+// from the statistics; corpus-level statistics shift with every insertion.
 func (s *Stats) Append(o *media.Object) error {
 	if int(o.ID) >= s.corpus.Len() || s.corpus.Object(o.ID) != o {
 		return fmt.Errorf("corr: object %d is not part of the corpus", o.ID)

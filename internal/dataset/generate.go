@@ -352,6 +352,16 @@ func (d *Dataset) Model() *corr.Model {
 	return m
 }
 
+// TrainedModel is Model with the correlation thresholds trained the one
+// way every binary and experiment trains them. An index snapshot only
+// loads against identically trained thresholds, so what writes one
+// (figdata) and what serves it (figserver) both come through here.
+func (d *Dataset) TrainedModel(seed int64) *corr.Model {
+	m := d.Model()
+	m.TrainThresholds(200, 0.35, rand.New(rand.NewSource(seed+13)))
+	return m
+}
+
 // Relevant reports whether two objects share their primary planted topic —
 // the ground-truth relevance judgment standing in for the paper's human
 // evaluators.

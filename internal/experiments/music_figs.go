@@ -50,8 +50,7 @@ func MusicTable(o Options) (*Table, error) {
 		Note: fmt.Sprintf("%d tracks, %d genres, %d queries, genre-planted relevance",
 			d.Corpus.Len(), cfg.NumGenres, len(queries)),
 	}
-	model := d.Model()
-	model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(o.Seed+13)))
+	model := d.TrainedModel(o.Seed)
 	for _, combo := range combos {
 		engine, err := retrieval.NewEngine(model, retrieval.Config{
 			BuildOpts: fig.Options{Kinds: combo.kinds},

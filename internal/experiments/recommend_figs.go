@@ -34,8 +34,7 @@ func Figure10(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := rd.Model()
-	model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(o.Seed+13)))
+	model := rd.TrainedModel(o.Seed)
 	variants := []struct {
 		label string
 		kinds []media.Kind
@@ -87,8 +86,7 @@ func Figure11(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := rd.Model()
-	model.TrainThresholds(200, 0.35, rand.New(rand.NewSource(o.Seed+13)))
+	model := rd.TrainedModel(o.Seed)
 
 	figT, err := recommend.New(model, recommend.Config{Temporal: true})
 	if err != nil {

@@ -120,8 +120,7 @@ func buildBaselineSystems(d *dataset.Dataset, trainQ []media.ObjectID, seed int6
 // λ/α parameters are trained by coordinate ascent on mean Precision@10 over
 // them — the rank-metric training of [16] the paper adopts (Section 5.2).
 func buildFIGSystem(d *dataset.Dataset, cfg retrieval.Config, seed int64, trainQ []media.ObjectID) (eval.FIGSystem, error) {
-	m := d.Model()
-	m.TrainThresholds(200, 0.35, rand.New(rand.NewSource(seed+13)))
+	m := d.TrainedModel(seed)
 	engine, err := retrieval.NewEngine(m, cfg)
 	if err != nil {
 		return eval.FIGSystem{}, err

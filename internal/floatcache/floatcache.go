@@ -1,30 +1,30 @@
 // Package floatcache provides the sharded, generation-stamped float64
 // memoisation cache behind the query hot path. The memoised quantities
 // (correlation cosines, clique CorS weights, per-(feature, object)
-// smoothing sums) are all derived from corpus-global statistics, which
-// gives them two properties this cache encodes:
+// smoothing sums — all three owned by corr.Model) are derived from
+// corpus-global statistics, which gives them two properties this cache
+// encodes:
 //
 //   - They are read by every concurrent query, so a single global mutex
 //     serialises the whole serving path. Entries are striped over
 //     fixed-size shards by key hash, each behind its own RWMutex, so
 //     concurrent readers of different shards never contend.
-//   - They all become stale at once when the corpus grows. Instead of
-//     relying on every cache owner being explicitly Reset (the stale-cache
-//     hazard: engines cloned via WithParams share the model but own their
-//     scorer), each shard is stamped with the generation of the statistics
-//     its entries were computed from. A lookup under a newer generation is
-//     a miss, and the next store under the newer generation drops the
-//     shard wholesale — caches self-invalidate.
+//   - They all become stale at once when the corpus grows. Each shard is
+//     stamped with the generation of the statistics its entries were
+//     computed from: a lookup under a newer generation is a miss, and the
+//     next store under the newer generation drops the shard wholesale, so
+//     a value that slips in under an old stamp is never served. Reset
+//     only releases the memory eagerly.
 //
 // Soundness caveat: the statistics a value is computed from and the
 // generation counter are read at different instants, so a stamp is only
 // guaranteed truthful when statistics mutation is externally serialized
-// against readers — which the engine provides (Engine.Insert is documented
-// as not safe concurrently with searches; corr.Stats.Append then
-// InvalidateCache happen before any post-insert read). Callers that fill
-// these caches additionally re-load the generation after computing and
-// discard on a mismatch, which narrows — but, absent that serialization,
-// cannot eliminate — the window in which a value derived from post-insert
+// against readers — which the serving tiers provide (corr.Model.Append is
+// documented as not safe concurrently with readers; the router takes its
+// statistics lock exclusively around it). Callers that fill these caches
+// additionally re-load the generation after computing and discard on a
+// mismatch, which narrows — but, absent that serialization, cannot
+// eliminate — the window in which a value derived from post-insert
 // statistics could be stored under the pre-insert stamp.
 package floatcache
 

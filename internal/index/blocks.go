@@ -32,7 +32,7 @@ type Block struct {
 // BlockSlice is a columnar view over an entry's block summaries: five
 // parallel arrays, one element per block of up to BlockLen postings. MaxSF
 // and MaxSM are maxima of the parameter-independent conditional components
-// returned by mrf.Scorer.PotentialParts — set-frequency ratio and
+// returned by mrf.PotentialParts — set-frequency ratio and
 // smoothing mean — so one stored summary serves any (α, λ, CorS): the
 // query-time upper bound for a clique with weighted lambda wl is
 //
@@ -81,20 +81,6 @@ func (e *Entry) BlocksAt(gen uint64) (BlockSlice, bool) {
 	return e.blocks, true
 }
 
-// blockScorer returns the scorer the build uses to evaluate
-// PotentialParts. The parameters are placeholders — both components are
-// parameter-independent — but a scorer needs a valid set to construct, and
-// sharing one across the build lets the per-(feature, object) smoothing
-// cache amortise across entries that share features.
-func blockScorer(m *corr.Model) *mrf.Scorer {
-	s, err := mrf.NewScorer(m, mrf.Params{Lambda: []float64{1}, Delta: 1})
-	if err != nil {
-		// Params above are statically valid; reaching here is a bug.
-		panic("index: blockScorer: " + err.Error())
-	}
-	return s
-}
-
 // computeBlocks (re)builds an entry's block summaries from the current
 // corpus, into owned columnar storage (sealing later migrates it into the
 // shared arenas). Callers stamp the entry's generation alongside, as with
@@ -107,7 +93,8 @@ func blockScorer(m *corr.Model) *mrf.Scorer {
 // the set-frequency component needs only the candidate's own counts and
 // stays exact (an unknown feature never occurs in a candidate, so its
 // set frequency, like its conditional, is zero).
-func computeBlocks(s *mrf.Scorer, corpus *media.Corpus, e *Entry) {
+func computeBlocks(m *corr.Model, e *Entry) {
+	corpus := m.Stats.Corpus()
 	n := len(e.Objects)
 	if n == 0 {
 		e.blocks = BlockSlice{}
@@ -138,7 +125,7 @@ func computeBlocks(s *mrf.Scorer, corpus *media.Corpus, e *Entry) {
 		for _, oid := range e.Objects[lo:hi] {
 			var sf, sm float64
 			if known {
-				sf, sm = s.PotentialParts(e.Feats, corpus.Object(oid))
+				sf, sm = mrf.PotentialParts(m, e.Feats, corpus.Object(oid))
 			}
 			if first || sf > b.MaxSF[bi] {
 				b.MaxSF[bi] = sf

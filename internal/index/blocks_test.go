@@ -8,6 +8,7 @@ import (
 	"figfusion/internal/fig"
 	"figfusion/internal/lexicon"
 	"figfusion/internal/media"
+	"figfusion/internal/mrf"
 )
 
 // blockWorld is a corpus wide enough that common cliques span several
@@ -93,7 +94,6 @@ func TestBlocksCoverPostings(t *testing.T) {
 func TestBlockBoundsSound(t *testing.T) {
 	_, m := blockWorld(t)
 	inv := Build(m, fig.Options{}, fig.EnumerateOptions{MaxFeatures: 3})
-	s := blockScorer(m)
 	corpus := m.Stats.Corpus()
 	for _, e := range inv.Entries() {
 		blocks, ok := e.BlocksAt(m.Generation())
@@ -102,7 +102,7 @@ func TestBlockBoundsSound(t *testing.T) {
 		}
 		for j, oid := range e.Objects {
 			b := blocks.Block(j / BlockLen)
-			sf, sm := s.PotentialParts(e.Feats, corpus.Object(oid))
+			sf, sm := mrf.PotentialParts(m, e.Feats, corpus.Object(oid))
 			if sf > b.MaxSF {
 				t.Fatalf("entry %v posting %d: sf %v exceeds block MaxSF %v", e.Feats, oid, sf, b.MaxSF)
 			}

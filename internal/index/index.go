@@ -70,7 +70,7 @@ const staleGen = ^uint64(0)
 // CorSAt returns the stored Eq. 9 weight if it was computed at the given
 // statistics generation. After an Insert grew the corpus, entries the
 // insert did not touch fail this check and callers must recompute through
-// the scorer (whose cache is stamped with the same generations).
+// corr.Model.CliqueWeight (whose memo is stamped with the same generations).
 func (e *Entry) CorSAt(gen uint64) (float64, bool) {
 	if e.corsGen != gen {
 		return 0, false
@@ -209,13 +209,12 @@ func BuildOwnedWorkers(m *corr.Model, bopts fig.Options, eopts fig.EnumerateOpti
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	bs := blockScorer(m)
 	par.Range(len(keys), wopt, func(lo, hi int) {
 		var ws corr.WeightScratch
 		for i := lo; i < hi; i++ {
 			e := inv.entries[keys[i]]
 			e.CorS = m.Stats.CliqueWeightWith(e.Feats, &ws)
-			computeBlocks(bs, corpus, e)
+			computeBlocks(m, e)
 			e.corsGen = gen
 		}
 	})
@@ -450,11 +449,9 @@ func (inv *Inverted) Insert(id media.ObjectID, cliques []fig.Clique, m *corr.Mod
 	}
 	gen := m.Generation()
 	inv.gen = gen
-	bs := blockScorer(m)
-	corpus := m.Stats.Corpus()
 	for _, e := range touched {
 		e.CorS = m.Stats.CliqueWeight(e.Feats)
-		computeBlocks(bs, corpus, e)
+		computeBlocks(m, e)
 		e.corsGen = gen
 	}
 	return nil

@@ -186,18 +186,35 @@ func NewCorpus() *Corpus {
 	return &Corpus{Dict: NewDictionary()}
 }
 
-// Add appends an object built from features and returns it. The caller
-// provides raw Features; Add interns them and merges duplicates.
-func (c *Corpus) Add(feats []Feature, counts []int, month int) (*Object, error) {
+// ValidateFeatures is the check Add starts with: at least one feature, one
+// count per feature, every count ≥ 1. It mutates nothing, so a caller that
+// must know an Add will succeed before it commits elsewhere (the cluster's
+// owner-first insert) applies the same rules.
+func ValidateFeatures(feats []Feature, counts []int) error {
+	if len(feats) == 0 {
+		return fmt.Errorf("media: object needs at least one feature")
+	}
 	if len(feats) != len(counts) {
-		return nil, fmt.Errorf("media: %d features but %d counts", len(feats), len(counts))
+		return fmt.Errorf("media: %d features but %d counts", len(feats), len(counts))
+	}
+	for i, n := range counts {
+		if n <= 0 {
+			return fmt.Errorf("media: non-positive count %d for %v", n, feats[i])
+		}
+	}
+	return nil
+}
+
+// Add appends an object built from features and returns it. The caller
+// provides raw Features; Add interns them and merges duplicates. A
+// rejected Add leaves the corpus and its dictionary untouched.
+func (c *Corpus) Add(feats []Feature, counts []int, month int) (*Object, error) {
+	if err := ValidateFeatures(feats, counts); err != nil {
+		return nil, err
 	}
 	fcs := make([]FeatureCount, len(feats))
 	for i, f := range feats {
 		n := counts[i]
-		if n <= 0 {
-			return nil, fmt.Errorf("media: non-positive count %d for %v", n, f)
-		}
 		if n > 65535 {
 			n = 65535
 		}

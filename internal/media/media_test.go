@@ -145,6 +145,17 @@ func TestCorpusAddValidation(t *testing.T) {
 	if _, err := c.Add([]Feature{{Text, "a"}}, []int{-1}, 0); err == nil {
 		t.Error("want error on negative count")
 	}
+	if _, err := c.Add(nil, nil, 0); err == nil {
+		t.Error("want error on an object without features")
+	}
+	// A rejected Add mutates nothing: the valid feature ahead of the bad
+	// count must not reach the dictionary.
+	if _, err := c.Add([]Feature{{Text, "brandnew"}, {Text, "x"}}, []int{1, 0}, 0); err == nil {
+		t.Error("want error on a zero count after a valid feature")
+	}
+	if c.Dict.Len() != 0 || c.Len() != 0 {
+		t.Errorf("rejected Adds left %d features and %d objects behind, want 0 and 0", c.Dict.Len(), c.Len())
+	}
 }
 
 func TestCorpusAddObjectReassignsID(t *testing.T) {

@@ -39,7 +39,7 @@ type CliqueSet struct {
 // Compile precomputes the per-clique state for one query. weights, when
 // non-nil, supplies the Eq. 9 weight per clique (the indexed paths pass
 // the CorS values stored in the inverted index); a nil weights computes
-// them through the scorer's cache. The weights slice must be aligned with
+// them through the model's memo. The weights slice must be aligned with
 // cliques.
 func (s *Scorer) Compile(cliques []fig.Clique, weights []float64) *CliqueSet {
 	return s.compile(cliques, weights, nil)
@@ -202,8 +202,8 @@ func (cs *CliqueSet) PutScratch(sc *Scratch) { cs.scratch.Put(sc) }
 
 // fill loads the candidate's state for every distinct query feature: one
 // linear merge over the two sorted feature lists for counts and presence,
-// and (when smoothing is on) one cache access per feature for the
-// feature–object correlation sum.
+// and (when smoothing is on) one corr.Model.ObjectCor memo read per feature
+// for the feature–object correlation sum.
 func (cs *CliqueSet) fill(sc *Scratch, o *media.Object) {
 	j := 0
 	for i, f := range cs.feats {
@@ -220,7 +220,7 @@ func (cs *CliqueSet) fill(sc *Scratch, o *media.Object) {
 	}
 	if cs.s.Params.Alpha > 0 {
 		for i, f := range cs.feats {
-			sc.cors[i] = cs.s.featureObjectCor(f, o)
+			sc.cors[i] = cs.s.Model.ObjectCor(f, o)
 		}
 	}
 }
@@ -236,7 +236,7 @@ func (cs *CliqueSet) PotentialScratch(sc *Scratch, i int, o *media.Object) float
 		sc.counts[idx] = c
 		sc.present[idx] = c > 0
 		if cs.s.Params.Alpha > 0 {
-			sc.cors[idx] = cs.s.featureObjectCor(f, o)
+			sc.cors[idx] = cs.s.Model.ObjectCor(f, o)
 		}
 	}
 	return cs.potentialAt(sc, i, o)

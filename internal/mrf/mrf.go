@@ -34,7 +34,6 @@ import (
 
 	"figfusion/internal/corr"
 	"figfusion/internal/fig"
-	"figfusion/internal/floatcache"
 	"figfusion/internal/media"
 	"figfusion/internal/numeric"
 )
@@ -98,29 +97,17 @@ func (p Params) LambdaFor(nFeats int) float64 {
 	return p.Lambda[nFeats-1]
 }
 
-// Scorer evaluates clique potentials and object similarity scores. It
-// caches CorS per clique (CorS depends only on corpus statistics, not on the
-// candidate object) and per-(feature, object) smoothing sums. Candidate
-// objects passed to Potential/Score must come from the model's corpus (the
-// smoothing cache is keyed by their stable ObjectIDs); query objects may be
-// external. Safe for concurrent use: both caches are sharded (per-shard
-// RWMutex, keys striped by hash) so concurrent queries do not serialise on
-// a global lock, and every entry is stamped with the model's statistics
-// generation, so the caches self-invalidate when the corpus grows — even
-// in scorers that never hear about the insert (WithParams clones).
+// Scorer evaluates clique potentials and object similarity scores: a
+// correlation model plus the parameters Λ. It holds no state of its own —
+// the parameter-independent quantities the potentials read (Eq. 9 clique
+// weights, Eq. 7 smoothing sums) are memoised on the model, so every
+// scorer over one model shares them and a parameter sweep never refills
+// them. Candidate objects passed to Potential/Score must come from the
+// model's corpus (the smoothing memo is keyed by their stable ObjectIDs);
+// query objects may be external. Safe for concurrent use.
 type Scorer struct {
 	Model  *corr.Model
 	Params Params
-
-	// cors caches the Eq. 9 clique weight by canonical clique key.
-	cors *floatcache.Cache[string]
-
-	// smooth caches (FID, ObjectID) → Σ_{f_j∈O} Cor(f, f_j). Cliques
-	// share features heavily (every clique of a FIG reuses the same
-	// nodes), so caching this sum turns the Eq. 7 smoothing term from
-	// O(|c|·|O|) correlation evaluations per potential into O(|c|)
-	// lookups.
-	smooth *floatcache.Cache[uint64]
 }
 
 // NewScorer builds a scorer over the correlation model.
@@ -128,53 +115,13 @@ func NewScorer(m *corr.Model, p Params) (*Scorer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Scorer{
-		Model:  m,
-		Params: p,
-		cors:   floatcache.New[string](floatcache.HashString),
-		smooth: floatcache.New[uint64](floatcache.HashUint64),
-	}, nil
+	return &Scorer{Model: m, Params: p}, nil
 }
 
-// WithParams returns a scorer with different parameters sharing this
-// scorer's model and its warm CorS and smoothing caches. Both cached
-// quantities are parameter-independent — CorS is a pure function of the
-// corpus statistics, the smoothing sums a pure function of the correlation
-// tables; λ, α and the switches only enter Potential outside the caches —
-// and both caches are concurrency-safe and generation-stamped, so clones
-// sharing them stay correct across corpus growth. This is what makes the
-// λ/α coordinate ascent cheap: every candidate scorer reuses the weights
-// and sums already computed instead of refilling cold caches per sweep
-// point.
-func (s *Scorer) WithParams(p Params) (*Scorer, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &Scorer{Model: s.Model, Params: p, cors: s.cors, smooth: s.smooth}, nil
-}
-
-// CorS returns the cached correlation-strength weight of a clique for the
-// Eq. 9 importance weighting ("the larger the CorS, the more important the
-// clique"). The weight itself — Eq. 8 normalized by |D| for multi-feature
-// cliques, the standardized dispersion sd(n)/mean(n) for singletons,
-// clamped non-negative — is defined once in corr.Stats.CliqueWeight; the
-// inverted index stores the same quantity per entry, so indexed search
-// paths serve it without consulting this cache.
-func (s *Scorer) CorS(c fig.Clique) float64 {
-	key := c.Key()
-	gen := s.Model.Generation()
-	if v, ok := s.cors.Get(gen, key); ok {
-		return v
-	}
-	v := s.Model.Stats.CliqueWeight(c.Feats)
-	// Discard on a generation change so a value computed from newer
-	// statistics is never stamped with the older generation (see the
-	// floatcache package comment).
-	if s.Model.Generation() == gen {
-		s.cors.Put(gen, key, v)
-	}
-	return v
-}
+// CorS returns the correlation-strength weight of a clique for the Eq. 9
+// importance weighting ("the larger the CorS, the more important the
+// clique"), defined in corr.Stats.CliqueWeight and memoised on the model.
+func (s *Scorer) CorS(c fig.Clique) float64 { return s.Model.CliqueWeight(c.Key(), c.Feats) }
 
 // setFreq returns freq(n_1..n_k | O): the number of complete co-occurrences
 // of the clique's feature set in O (minimum per-feature count).
@@ -201,7 +148,7 @@ func (s *Scorer) conditional(feats []media.FID, o *media.Object) float64 {
 	}
 	p := (1 - s.Params.Alpha) * setFreq(feats, o) / float64(total)
 	if s.Params.Alpha > 0 {
-		p += s.Params.Alpha * s.smoothing(feats, o)
+		p += s.Params.Alpha * smoothing(s.Model, feats, o)
 	}
 	return p
 }
@@ -210,9 +157,9 @@ func (s *Scorer) conditional(feats []media.FID, o *media.Object) float64 {
 // between clique features and the object's remaining features,
 // Σ_{n_i∈c} Σ_{n_j∈O−c} Cor(n_i, n_j) / ((|c|−1)·|O−c|), where |c|−1 is the
 // number of feature nodes in the clique. The inner sum over the whole
-// object is served from the per-(feature, object) cache and corrected by
-// subtracting the clique features present in O.
-func (s *Scorer) smoothing(feats []media.FID, o *media.Object) float64 {
+// object is served from the model's per-(feature, object) memo and
+// corrected by subtracting the clique features present in O.
+func smoothing(m *corr.Model, feats []media.FID, o *media.Object) float64 {
 	present := 0
 	for _, f := range feats {
 		if o.Has(f) {
@@ -225,33 +172,16 @@ func (s *Scorer) smoothing(feats []media.FID, o *media.Object) float64 {
 	}
 	var sum float64
 	for _, fi := range feats {
-		total := s.featureObjectCor(fi, o)
+		total := m.ObjectCor(fi, o)
 		// Remove contributions of clique members that are in O.
 		for _, fj := range feats {
 			if o.Has(fj) {
-				total -= s.Model.Cor(fi, fj)
+				total -= m.Cor(fi, fj)
 			}
 		}
 		sum += total
 	}
 	return sum / (float64(len(feats)) * float64(rest))
-}
-
-// featureObjectCor returns Σ_{f_j ∈ O} Cor(f, f_j), cached per (f, O).
-func (s *Scorer) featureObjectCor(f media.FID, o *media.Object) float64 {
-	key := uint64(uint32(f))<<32 | uint64(uint32(o.ID))
-	gen := s.Model.Generation()
-	if v, ok := s.smooth.Get(gen, key); ok {
-		return v
-	}
-	var v float64
-	for _, fj := range o.Feats {
-		v += s.Model.Cor(f, fj)
-	}
-	if s.Model.Generation() == gen {
-		s.smooth.Put(gen, key, v)
-	}
-	return v
 }
 
 // PotentialParts returns the two candidate-dependent components of the
@@ -262,12 +192,12 @@ func (s *Scorer) featureObjectCor(f media.FID, o *media.Object) float64 {
 // bound inflation) every conditional the clique can produce for those
 // postings at any (α, λ, CorS) — which is what lets the inverted index
 // store parameter-independent block summaries.
-func (s *Scorer) PotentialParts(feats []media.FID, o *media.Object) (sf, sm float64) {
+func PotentialParts(m *corr.Model, feats []media.FID, o *media.Object) (sf, sm float64) {
 	total := o.TotalCount()
 	if total == 0 || len(feats) == 0 {
 		return 0, 0
 	}
-	return setFreq(feats, o) / float64(total), s.smoothing(feats, o)
+	return setFreq(feats, o) / float64(total), smoothing(m, feats, o)
 }
 
 // Potential computes ϕ′(c) for a candidate object: Eq. 7 scaled by λ_c and,
@@ -294,22 +224,4 @@ func (s *Scorer) Score(cliques []fig.Clique, o *media.Object) float64 {
 		sum += s.Potential(c, o)
 	}
 	return sum
-}
-
-// Reset drops the scorer's memoised CorS and smoothing values eagerly,
-// releasing their memory. Correctness no longer depends on calling it:
-// both caches are stamped with the model's statistics generation and
-// self-invalidate when corr.Model.InvalidateCache advances it.
-func (s *Scorer) Reset() {
-	s.cors.Reset()
-	s.smooth.Reset()
-}
-
-// CacheStats returns lifetime hit/miss counts for the CorS and smoothing
-// caches — the observability hook the serving metrics expose. Misses are
-// exact; hits are a sampled estimate (see floatcache.Cache.Stats).
-func (s *Scorer) CacheStats() (corsHits, corsMisses, smoothHits, smoothMisses uint64) {
-	corsHits, corsMisses = s.cors.Stats()
-	smoothHits, smoothMisses = s.smooth.Stats()
-	return
 }

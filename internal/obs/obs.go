@@ -312,7 +312,7 @@ func (r *Registry) SetHistogram(name string, h *Histogram) {
 // Func registers a lazily evaluated gauge: fn runs at snapshot time.
 // Re-registering a name replaces the previous function, which makes
 // registration idempotent for subsystems constructed more than once over
-// shared state (e.g. one engine per shard sharing one scorer).
+// shared state (e.g. one engine per shard sharing one model).
 func (r *Registry) Func(name string, fn func() int64) {
 	if r == nil {
 		return

@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"figfusion/internal/corr"
 	"figfusion/internal/dataset"
+	"figfusion/internal/fig"
 	"figfusion/internal/media"
 	"figfusion/internal/mrf"
 )
@@ -151,6 +153,64 @@ func TestProfileCompressionScoresExactly(t *testing.T) {
 	}
 	if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 		t.Errorf("compressed score %v != naive %v", got, want)
+	}
+}
+
+// TestOneMemoServesEveryConsumer: the Eq. 7 smoothing sums depend on the
+// corpus alone and live on the model, so once one scorer has scored a
+// candidate set, a scorer with other parameters and a recommender over the
+// same model read the same (feature, object) sums without one further miss
+// — and both score exactly as they do over a cold model.
+func TestOneMemoServesEveryConsumer(t *testing.T) {
+	rd := recData(t)
+	history := []*media.Object{rd.Corpus.Object(0)}
+	cands := rd.Candidates[:40]
+	other := mrf.Params{Lambda: []float64{0.5, 0.3, 0.2}, Alpha: 0.6, Delta: 1}
+
+	// scores runs one consumer over all candidates: a scorer with params p,
+	// or — p nil — a recommender whose profile is the same history object.
+	scores := func(m *corr.Model, p *mrf.Params) []float64 {
+		t.Helper()
+		var score func(o *media.Object) float64
+		if p == nil {
+			r, err := New(m, Config{Temporal: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof := r.BuildProfile(history, rd.Now)
+			score = func(o *media.Object) float64 { return r.Score(prof, o) }
+		} else {
+			s, err := mrf.NewScorer(m, *p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			score = s.Compile(fig.ProfileCliques(history, m, fig.Options{}, fig.EnumerateOptions{}), nil).Score
+		}
+		out := make([]float64, len(cands))
+		for i, id := range cands {
+			out[i] = score(rd.Corpus.Object(id))
+		}
+		return out
+	}
+
+	m := rd.Model()
+	first := mrf.DefaultParams()
+	scores(m, &first)
+	filled := m.CacheStats().SmoothMisses
+	if filled == 0 {
+		t.Fatal("the first scorer filled nothing; the test is vacuous")
+	}
+	for name, p := range map[string]*mrf.Params{"second scorer": &other, "recommender": nil} {
+		got := scores(m, p)
+		if now := m.CacheStats().SmoothMisses; now != filled {
+			t.Errorf("%s added %d smoothing misses over the warm model, want 0", name, now-filled)
+		}
+		want := scores(rd.Model(), p)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s, candidate %d: %v over the warm model, %v over a cold one", name, cands[i], got[i], want[i])
+			}
+		}
 	}
 }
 

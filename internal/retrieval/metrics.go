@@ -91,21 +91,20 @@ func (m *queryMetrics) finish(tr *obs.QueryTrace) {
 
 // SetMetrics attaches (or, with a nil registry, detaches) observability to
 // the engine: per-query stage instruments plus func gauges exposing the
-// hit/miss statistics of the model's cosine cache and the scorer's
-// CorS/smoothing caches. Not safe to call concurrently with searches;
+// hit/miss statistics of the model's cosine, CorS and smoothing memos. Not safe to call concurrently with searches;
 // attach at construction (retrieval.Config.Metrics) or server startup.
 func (e *Engine) SetMetrics(reg *obs.Registry, slow *obs.SlowLog) {
 	e.metrics = newQueryMetrics(reg, slow)
 	if reg == nil {
 		return
 	}
-	model, scorer := e.Model, e.Scorer
-	reg.Func("cache.cosine.hits", func() int64 { h, _ := model.CacheStats(); return int64(h) })
-	reg.Func("cache.cosine.misses", func() int64 { _, m := model.CacheStats(); return int64(m) })
-	reg.Func("cache.cors.hits", func() int64 { h, _, _, _ := scorer.CacheStats(); return int64(h) })
-	reg.Func("cache.cors.misses", func() int64 { _, m, _, _ := scorer.CacheStats(); return int64(m) })
-	reg.Func("cache.smooth.hits", func() int64 { _, _, h, _ := scorer.CacheStats(); return int64(h) })
-	reg.Func("cache.smooth.misses", func() int64 { _, _, _, m := scorer.CacheStats(); return int64(m) })
+	model := e.Model
+	reg.Func("cache.cosine.hits", func() int64 { return int64(model.CacheStats().CosineHits) })
+	reg.Func("cache.cosine.misses", func() int64 { return int64(model.CacheStats().CosineMisses) })
+	reg.Func("cache.cors.hits", func() int64 { return int64(model.CacheStats().CorSHits) })
+	reg.Func("cache.cors.misses", func() int64 { return int64(model.CacheStats().CorSMisses) })
+	reg.Func("cache.smooth.hits", func() int64 { return int64(model.CacheStats().SmoothHits) })
+	reg.Func("cache.smooth.misses", func() int64 { return int64(model.CacheStats().SmoothMisses) })
 	if idx := e.Index; idx != nil {
 		reg.Func("index.resident.bytes", func() int64 { return idx.MemoryBytes() })
 		if ls := idx.LoadStats(); ls != nil {

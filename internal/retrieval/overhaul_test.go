@@ -27,12 +27,12 @@ func cloneFeatures(d *dataset.Dataset, src *media.Object) ([]media.Feature, []in
 }
 
 // TestWithParamsCloneSeesInserts is the stale-cache regression test for
-// engines cloned with WithParams: clones share the correlation model but
-// carry their own scorer, so an Insert through the original — which resets
-// only the original's scorer — must still invalidate the clone's warm
-// caches (via the model's generation counter). Before the generation
-// stamp, the clone kept serving pre-insert cosines, CorS weights and
-// smoothing sums.
+// engines cloned with WithParams: a clone shares the correlation model and
+// with it every memo, so an Insert through the original — one
+// corr.Model.Append, one generation step — must leave the warm clone
+// serving nothing of the pre-insert corpus. Before the generation stamp,
+// the clone kept serving pre-insert cosines, CorS weights and smoothing
+// sums.
 func TestWithParamsCloneSeesInserts(t *testing.T) {
 	d := testData(t)
 	a := newEngine(t, d, Config{})
@@ -50,15 +50,16 @@ func TestWithParamsCloneSeesInserts(t *testing.T) {
 	}
 	src := d.Corpus.Object(7)
 	feats, counts := cloneFeatures(d, src)
+	gen := a.Model.Generation()
 	if _, err := a.Insert(feats, counts, src.Month); err != nil {
 		t.Fatal(err)
 	}
-	// Ground truth: a fresh scorer over the grown corpus with the clone's
-	// parameters. The warm clone must match it exactly.
-	fresh, err := a.WithParams(params)
-	if err != nil {
-		t.Fatal(err)
+	if got := a.Model.Generation(); got != gen+1 {
+		t.Errorf("generation after one Insert = %d, want %d", got, gen+1)
 	}
+	// Ground truth: an engine built cold over the grown corpus with the
+	// clone's parameters. The warm clone must match it exactly.
+	fresh := newEngine(t, d, Config{Params: params})
 	for i := 0; i < 10; i++ {
 		q := d.Corpus.Object(media.ObjectID(i))
 		want := fresh.Search(q, 10, q.ID)

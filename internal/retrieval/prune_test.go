@@ -122,7 +122,6 @@ func TestBlockMaxParityAcrossSnapshotAndInsert(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.Model.InvalidateCache()
-			e.Scorer.Reset()
 			if err := e.IndexObject(o); err != nil {
 				t.Fatal(err)
 			}

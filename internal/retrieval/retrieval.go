@@ -120,15 +120,11 @@ func NewEngine(m *corr.Model, cfg Config) (*Engine, error) {
 }
 
 // WithParams returns an engine sharing this engine's model and inverted
-// index but scoring with different MRF parameters. The index stores only
-// postings and CorS values, which do not depend on Λ, so parameter training
-// can sweep candidates without rebuilding it. The clone's scorer also
-// shares this engine's warm CorS and smoothing caches (both are
-// parameter-independent and generation-stamped; see mrf.Scorer.WithParams),
-// which is what keeps the λ/α coordinate ascent from refilling cold caches
-// at every sweep point.
+// index but scoring with different MRF parameters. Nothing the index or
+// the model memoises depends on Λ, so parameter training sweeps candidates
+// without rebuilding or refilling either.
 func (e *Engine) WithParams(params mrf.Params) (*Engine, error) {
-	scorer, err := e.Scorer.WithParams(params)
+	scorer, err := mrf.NewScorer(e.Model, params)
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: %w", err)
 	}
@@ -218,14 +214,14 @@ func (e *Engine) Prepare(q *media.Object) *PreparedQuery {
 
 // cliqueWeight resolves one query clique's Eq. 9 weight at the given
 // statistics generation: the index-stored value when the clique is indexed
-// here and the value is current, the scorer's (generation-stamped) cache
+// here and the value is current, the model's (generation-stamped) memo
 // otherwise — for unindexed cliques, and for indexed ones whose stored
 // weight predates the current generation (after an Insert, entries the
 // insert did not touch hold weights of the pre-insert corpus; serving
 // those would make the indexed paths diverge from SearchScan). Both
 // sources compute corr.Stats.CliqueWeight, so which one serves is
 // unobservable in scores; the index is preferred because a query's cliques
-// are rarely in the scorer's cache and always cost a statistics pass there.
+// are rarely in the memo and always cost a statistics pass there.
 func (e *Engine) cliqueWeight(c fig.Clique, key string, gen uint64) float64 {
 	if e.Index != nil {
 		if entry, ok := e.Index.LookupKey(key); ok {
@@ -234,7 +230,7 @@ func (e *Engine) cliqueWeight(c fig.Clique, key string, gen uint64) float64 {
 			}
 		}
 	}
-	return e.Scorer.CorS(c)
+	return e.Model.CliqueWeight(key, c.Feats)
 }
 
 // beginPrepared opens the trace of one prepared search. The first search
@@ -405,7 +401,7 @@ func (e *Engine) SearchAmongContext(ctx context.Context, q *media.Object, candid
 	tr := e.metrics.begin(obs.PathScan)
 	st := tr.Begin()
 	// The scan path is the exactness reference: weights come from the
-	// scorer (nil ⇒ computed through its cache), never the index.
+	// model (nil ⇒ computed through its memo), never the index.
 	cs := e.Scorer.Compile(e.QueryCliques(q), nil)
 	tr.End(obs.StagePrepare, st)
 	tr.SetCandidates(len(candidates))
@@ -440,23 +436,16 @@ func (e *Engine) SearchMergeFullContext(ctx context.Context, q *media.Object, k 
 
 // Insert ingests one new object into a live engine without a rebuild — the
 // growth path of a social media database (the paper cites 2 million new
-// Flickr images per day). The object joins the corpus, the correlation
-// statistics grow incrementally, the object's cliques are added to the
-// inverted index, and the corpus-global memoisation caches (cosines, CorS,
-// smoothing sums) are dropped since every global statistic shifted.
-// Trained thresholds and Λ parameters are kept; retrain periodically if the
-// corpus distribution drifts. Not safe to call concurrently with searches.
+// Flickr images per day): corr.Model.Append grows corpus and statistics
+// and drops what was memoised from them, then the object's cliques are
+// added to the inverted index. Trained thresholds and Λ parameters are
+// kept; retrain periodically if the corpus distribution drifts. Not safe
+// to call concurrently with searches.
 func (e *Engine) Insert(feats []media.Feature, counts []int, month int) (*media.Object, error) {
-	corpus := e.Model.Stats.Corpus()
-	o, err := corpus.Add(feats, counts, month)
+	o, err := e.Model.Append(feats, counts, month)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.Model.Stats.Append(o); err != nil {
-		return nil, err
-	}
-	e.Model.InvalidateCache()
-	e.Scorer.Reset()
 	if err := e.IndexObject(o); err != nil {
 		return nil, err
 	}

@@ -65,10 +65,19 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 // TestInsertMalformed walks the /v1/objects error surface: syntactically
-// broken JSON, type mismatches, and feature-free objects all answer 400
-// with the invalid_argument envelope.
+// broken JSON, type mismatches, feature-free objects and bad counts all
+// answer 400 with the invalid_argument envelope and leave the node as it
+// was — the dictionary included, which a rejected insert used to grow.
 func TestInsertMalformed(t *testing.T) {
 	s, _ := testServer(t)
+	healthFeatures := func() float64 {
+		var h map[string]interface{}
+		if code := doJSON(t, s.Handler(), "GET", "/v1/healthz", nil, &h); code != http.StatusOK {
+			t.Fatalf("/v1/healthz: status = %d", code)
+		}
+		return h["features"].(float64)
+	}
+	before := healthFeatures()
 	cases := []struct {
 		name string
 		body string
@@ -79,6 +88,7 @@ func TestInsertMalformed(t *testing.T) {
 		{"month type", `{"tags":["topic00tag00"],"month":"five"}`},
 		{"no features", `{}`},
 		{"empty names", `{"tags":["",""],"users":[""]}`},
+		{"zero count after a new feature", `{"features":[{"kind":"text","name":"brandnew","count":1},{"kind":"text","name":"x","count":0}]}`},
 	}
 	for _, tc := range cases {
 		var resp api.ErrorResponse
@@ -92,6 +102,9 @@ func TestInsertMalformed(t *testing.T) {
 		if resp.Error.Message == "" {
 			t.Errorf("%s: error message missing", tc.name)
 		}
+	}
+	if after := healthFeatures(); after != before {
+		t.Errorf("rejected inserts grew the dictionary from %v to %v features", before, after)
 	}
 }
 

@@ -460,10 +460,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		add(media.User, req.Users)
 		add(media.Visual, req.VisualWords)
 	}
-	if len(feats) == 0 {
-		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument, "object must carry at least one feature")
-		return
-	}
 	expect := -1
 	if req.Expect != nil {
 		expect = *req.Expect

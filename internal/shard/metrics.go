@@ -57,9 +57,7 @@ func (m *routerMetrics) recordInsert(shard int) {
 // router-level fan-out/straggler/insert instruments plus each shard
 // engine's per-stage query metrics — all into one shared registry, so
 // per-stage histograms aggregate across shards. Call after construction
-// or load, never concurrently with serving (the scorer-backed cache
-// gauges are registered through the shared shard-0 scorer, which is only
-// in place once the router is fully wired).
+// or load, never concurrently with serving.
 func (r *Router) SetMetrics(reg *obs.Registry, slow *obs.SlowLog) {
 	r.metrics = newRouterMetrics(reg, len(r.shards))
 	for _, sh := range r.shards {

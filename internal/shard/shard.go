@@ -40,9 +40,9 @@ type Config struct {
 	// Retrieval configures each per-shard engine. Index and SkipIndex must
 	// be left zero: the router builds (or loads) one index per shard.
 	// Metrics and SlowLog must also be left zero — attach observability
-	// through Router.SetMetrics once the router is wired, so the cache
-	// gauges bind the shared shard-0 scorer rather than the donor scorers
-	// discarded during construction. Workers applies within one shard;
+	// through Router.SetMetrics, which also registers the router's own
+	// instruments and replaces the per-shard index gauges with
+	// corpus-wide aggregates. Workers applies within one shard;
 	// sharded deployments usually keep it at 1 and let the shard fan-out
 	// supply the parallelism.
 	Retrieval retrieval.Config
@@ -110,9 +110,9 @@ type Router struct {
 
 // NewRouter partitions the model's corpus across cfg.Shards engines,
 // building one ownership-filtered clique index per shard over the shared
-// corpus-global statistics. All shards share one MRF scorer (and with it
-// the generation-stamped CorS/smoothing caches), so per-candidate scores
-// are bit-identical to a single-shard engine's.
+// corpus-global statistics. Every shard scores against the one model (and
+// with it the generation-stamped memos) under the same parameters, so
+// per-candidate scores are bit-identical to a single-shard engine's.
 func NewRouter(m *corr.Model, cfg Config) (*Router, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -173,18 +173,13 @@ func (r *Router) ownsObject(id media.ObjectID) bool {
 	return r.owns == nil || r.owns(id)
 }
 
-// attach wires shard s around a prebuilt (or loaded) per-shard index. The
-// first shard's engine donates its scorer to the rest, so every shard
-// serves from the same parameter and cache state.
+// attach wires shard s around a prebuilt (or loaded) per-shard index.
 func (r *Router) attach(s int, inv *index.Inverted, cfg Config, objects int) error {
 	engCfg := cfg.Retrieval
 	engCfg.Index = inv
 	eng, err := retrieval.NewEngine(r.model, engCfg)
 	if err != nil {
 		return fmt.Errorf("shard %d: %w", s, err)
-	}
-	if s > 0 {
-		eng.Scorer = r.shards[0].eng.Scorer
 	}
 	r.shards[s] = &shardState{eng: eng, objects: objects}
 	return nil
@@ -356,18 +351,7 @@ func (r *Router) InsertContext(_ context.Context, feats []media.Feature, counts 
 func (r *Router) appendObject(feats []media.Feature, counts []int, month int) (*media.Object, error) {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
-	corpus := r.model.Stats.Corpus()
-	o, err := corpus.Add(feats, counts, month)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.model.Stats.Append(o); err != nil {
-		return nil, err
-	}
-	r.model.InvalidateCache()
-	// One reset suffices: every shard serves from shard 0's scorer.
-	r.shards[0].eng.Scorer.Reset()
-	return o, nil
+	return r.model.Append(feats, counts, month)
 }
 
 // indexObject adds one appended object's cliques to this shard's index.

@@ -65,6 +65,43 @@ func TestNewRouterValidation(t *testing.T) {
 	_ = d
 }
 
+// TestShardsServeFromOneMemo: each shard engine carries its own scorer over
+// the one shared model, so what any shard memoised serves all of them — a
+// repeated search adds no smoothing miss on any shard — and a routed insert
+// invalidates through the model alone: warmed through every shard, then
+// grown, the router answers byte for byte like a single shard that never
+// served before its inserts.
+func TestShardsServeFromOneMemo(t *testing.T) {
+	d, m := testSystem(t)
+	r, err := NewRouter(m, Config{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []media.ObjectID{0, 1, 2, 3, 4, 5, 6, 7}
+	searchBytes(r, d.Corpus, queries)
+	warm := m.CacheStats().SmoothMisses
+	searchBytes(r, d.Corpus, queries)
+	if again := m.CacheStats().SmoothMisses; again != warm {
+		t.Errorf("repeating the searches added %d smoothing misses, want 0", again-warm)
+	}
+	gen := r.Generation()
+	applyInserts(t, r.Insert)
+	if got, want := r.Generation(), gen+uint64(len(parityInserts())); got != want {
+		t.Errorf("generation after the inserts = %d, want %d (one step per insert)", got, want)
+	}
+
+	coldD, coldM := testSystem(t)
+	cold, err := NewRouter(coldM, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyInserts(t, cold.Insert)
+	queries = append(queries, 150, 159)
+	if got, want := searchBytes(r, d.Corpus, queries), searchBytes(cold, coldD.Corpus, queries); !bytes.Equal(got, want) {
+		t.Error("3 warm shards and 1 cold shard disagree after the same inserts")
+	}
+}
+
 // TestShardInfos checks the health snapshot: per-shard object counts
 // partition the corpus, postings are non-empty, and a routed insert grows
 // exactly the owning shard.
