@@ -13,7 +13,7 @@
 //	figserver -addr :8080 -data corpus.gob
 //	figserver -addr :8080 -objects 5000        # generate on the fly
 //	figserver -addr :8080 -shards 4            # scatter-gather serving
-//	figserver -data corpus.gob -shards 4 -index snap   # cold-start from figdata -shards snapshots
+//	figserver -data corpus.gob -shards 4 -index snap   # cold-start from the figdata -shards 4 -index snap file
 //	figserver -query-timeout 250ms -pprof      # bounded queries + profiling
 //
 // Multi-node serving splits the corpus across shard processes behind a
@@ -24,7 +24,8 @@
 //	figserver -role router -addr :8080 -data corpus.gob -nodes localhost:8081,localhost:8082
 //
 // A replacement shard node can bootstrap its index from a live peer
-// instead of building it: add -bootstrap http://localhost:8081.
+// instead of building it: add -bootstrap http://localhost:8081. What the
+// peer streams is the snapshot file: curl host/v1/admin/snapshot > snap.
 //
 //	curl 'localhost:8080/v1/search?text=sunset&k=5'
 //	curl 'localhost:8080/v1/search?id=42'
@@ -47,7 +48,6 @@ import (
 
 	"figfusion/internal/cluster"
 	"figfusion/internal/dataset"
-	"figfusion/internal/index"
 	"figfusion/internal/retrieval"
 	"figfusion/internal/server"
 	"figfusion/internal/shard"
@@ -138,34 +138,13 @@ func main() {
 			}
 			router = r
 			log.Printf("bootstrapped from %s: %d shards, cut at %d objects", opts.Bootstrap, man.Shards, man.Objects)
-		case opts.Index != "" && opts.Role != "shard" && opts.Shards == 1:
-			// One shard's -index is a bare index file from figdata -index,
-			// not a snapshot set: load it and serve the engine around it.
-			f, ferr := os.Open(opts.Index)
-			if ferr != nil {
-				log.Fatal(ferr)
-			}
-			prebuilt, lerr := index.Load(f)
-			f.Close()
-			if lerr != nil {
-				log.Fatal(lerr)
-			}
-			ls := prebuilt.LoadStats()
-			log.Printf("loaded index: %d cliques (%d bytes, %.1f ms, %d loader worker(s))",
-				prebuilt.NumCliques(), ls.Bytes, ls.WallMillis, ls.Workers)
-			retrievalCfg.Index = prebuilt
-			engine, eerr := retrieval.NewEngine(model, retrievalCfg)
-			if eerr != nil {
-				log.Fatal(eerr)
-			}
-			router = shard.FromEngine(engine)
 		case opts.Index != "":
 			r, man, lerr := shard.Load(model, cfg, opts.Index)
 			if lerr != nil {
 				log.Fatal(lerr)
 			}
 			router = r
-			log.Printf("loaded snapshot set %s: %d shards, cut at %d objects", opts.Index, man.Shards, man.Objects)
+			log.Printf("loaded snapshot %s: %d shards, cut at %d objects", opts.Index, man.Shards, man.Objects)
 		default:
 			router, err = shard.NewRouter(model, cfg)
 			if err != nil {

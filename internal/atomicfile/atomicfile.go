@@ -1,7 +1,7 @@
 // Package atomicfile replaces files so that a crash leaves the previous
 // content or the complete new content, never a torn file — the write
-// discipline of everything a later process start loads: corpora, index
-// snapshots and snapshot-set manifests.
+// discipline of everything a later process start loads: corpora and index
+// snapshots.
 package atomicfile
 
 import (

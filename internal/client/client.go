@@ -226,34 +226,57 @@ func (c *Client) call(ctx context.Context, method, path string, in, out interfac
 	}
 }
 
-// once runs a single HTTP attempt.
+// Snapshot opens GET /v1/admin/snapshot: the node's snapshot as one body
+// stream (shard.LoadSnapshotStream reads it) that the caller must Close. A
+// refusal surfaces as an *APIError like any other call's; a body stream is
+// not replayable, so nothing retries.
+func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, error) {
+	resp, err := c.do(ctx, http.MethodGet, "/v1/admin/snapshot", nil)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Body, nil
+}
+
+// once runs a single HTTP attempt and decodes its 2xx body into out.
 func (c *Client) once(ctx context.Context, method, path string, body []byte, out interface{}) error {
+	resp, err := c.do(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		_, err := io.Copy(io.Discard, resp.Body)
+		return err
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("client: %s %s: decode: %w", method, path, err)
+	}
+	return nil
+}
+
+// do sends one request and returns its 2xx response, body unread; any
+// other status is consumed into an *APIError.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
+	}
+	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		if out == nil {
-			_, err := io.Copy(io.Discard, resp.Body)
-			return err
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("client: %s %s: decode: %w", method, path, err)
-		}
-		return nil
-	}
 	apiErr := &APIError{Status: resp.StatusCode}
 	if ra := resp.Header.Get(api.RetryAfterHeader); ra != "" {
 		if secs, perr := strconv.Atoi(ra); perr == nil && secs >= 0 {
@@ -266,7 +289,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		apiErr.Code = envelope.Error.Code
 		apiErr.Message = envelope.Error.Message
 	}
-	return apiErr
+	return nil, apiErr
 }
 
 // sleep waits d or until ctx is done.

@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"figfusion/internal/api"
 	"figfusion/internal/client"
@@ -181,27 +179,14 @@ func wireErr(method, path string, err error) error {
 	return fmt.Errorf("cluster: %w", err)
 }
 
-// FetchSnapshot streams a node's snapshot set from GET /v1/admin/snapshot
-// — the bootstrap source for a replacement node of the same partition.
-// The caller must Close the reader; shard.LoadSnapshotStream verifies the
-// FSG1 section CRCs as it decodes.
+// FetchSnapshot opens a node's snapshot stream (GET /v1/admin/snapshot) —
+// the bootstrap source for a replacement node of the same partition. The
+// caller must Close the reader; shard.LoadSnapshotStream verifies the
+// framing and the FSG1 section CRCs as it decodes.
 func FetchSnapshot(ctx context.Context, base string) (io.ReadCloser, error) {
-	base = strings.TrimRight(base, "/")
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/admin/snapshot", nil)
+	rc, err := client.New(base).Snapshot(ctx)
 	if err != nil {
-		return nil, err
+		return nil, wireErr(http.MethodGet, "/v1/admin/snapshot", err)
 	}
-	resp, err := http.DefaultClient.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		return nil, fmt.Errorf("cluster: snapshot fetch from %s: HTTP %d: %s", base, resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	return resp.Body, nil
+	return rc, nil
 }

@@ -232,7 +232,7 @@ func TestClusterDivergenceAndReplay(t *testing.T) {
 }
 
 // TestSnapshotBootstrapOverHTTP replaces a node from a live peer: stream
-// the snapshot set over /v1/admin/snapshot, rebuild a router for the same
+// the snapshot over /v1/admin/snapshot, rebuild a router for the same
 // partition with LoadSnapshotStream, and require byte-identical rankings
 // from the replacement.
 func TestSnapshotBootstrapOverHTTP(t *testing.T) {
@@ -332,6 +332,25 @@ func TestSnapshotBootstrapOverHTTP(t *testing.T) {
 	t.Cleanup(front.Close)
 	if got := body(front.URL, "/v1/admin/snapshot"); !strings.HasPrefix(got, "503 ") || !strings.Contains(got, `"code":"unavailable"`) {
 		t.Fatalf("cluster front-end snapshot = %s, want 503 unavailable", got)
+	}
+	// Bootstrapping from it surfaces that envelope, not a JSON blob.
+	_, err = cluster.FetchSnapshot(context.Background(), front.URL)
+	if err == nil || !strings.Contains(err.Error(), "unavailable: "+cluster.ErrNoSnapshot.Error()) || strings.Contains(err.Error(), "{") {
+		t.Fatalf("bootstrap from a router front-end: err = %v, want the unavailable envelope's code and message", err)
+	}
+
+	// The stream is stamped with what the index was built under: a model
+	// trained to other thresholds (another -seed) is refused by name.
+	rc4, err := cluster.FetchSnapshot(context.Background(), ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc4.Close()
+	_, m5 := testSystem(t)
+	m5.Thresholds[media.Text][media.Text] += 0.125
+	_, _, err = shard.LoadSnapshotStream(m5, shard.Config{Owns: assign.Owns(0)}, rc4)
+	if err == nil || !strings.Contains(err.Error(), "thresholds[") || !strings.Contains(err.Error(), "-seed") {
+		t.Fatalf("bootstrap under other thresholds: err = %v, want a refusal naming thresholds and -seed", err)
 	}
 }
 

@@ -88,6 +88,12 @@ type Config struct {
 	Workers int
 }
 
+// TopicsForScale is the corpus-shape rule every scale-derived corpus
+// shares: ~40 objects per planted topic, clamped to [8, 48].
+func TopicsForScale(n int) int {
+	return min(max(n/40, 8), 48)
+}
+
 // DefaultConfig returns a laptop-scale configuration that preserves the
 // paper's structural ratios (vocab sizes and feature densities scale with
 // the corpus).

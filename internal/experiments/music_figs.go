@@ -23,7 +23,7 @@ func MusicTable(o Options) (*Table, error) {
 	cfg := dataset.DefaultMusicConfig()
 	cfg.Seed = o.Seed + 2000
 	cfg.NumTracks = o.Scale
-	cfg.NumGenres = topicsForScale(o.Scale) / 2
+	cfg.NumGenres = dataset.TopicsForScale(o.Scale) / 2
 	if cfg.NumGenres < 4 {
 		cfg.NumGenres = 4
 	}

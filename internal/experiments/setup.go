@@ -63,26 +63,15 @@ func (o Options) retrievalConfig() dataset.Config {
 	// Topic diversity grows with corpus size, as on a real media site —
 	// this is what makes a fixed-rank latent space increasingly lossy
 	// (the paper's core argument against global early fusion).
-	cfg.NumTopics = topicsForScale(o.Scale)
+	cfg.NumTopics = dataset.TopicsForScale(o.Scale)
 	return cfg
-}
-
-func topicsForScale(scale int) int {
-	t := scale / 40
-	if t < 8 {
-		t = 8
-	}
-	if t > 48 {
-		t = 48
-	}
-	return t
 }
 
 func (o Options) recConfig() (dataset.Config, dataset.RecConfig) {
 	cfg := dataset.DefaultConfig()
 	cfg.Seed = o.Seed + 1000
 	cfg.NumObjects = o.RecScale
-	cfg.NumTopics = topicsForScale(o.RecScale)
+	cfg.NumTopics = dataset.TopicsForScale(o.RecScale)
 	rc := dataset.DefaultRecConfig()
 	rc.NumUsers = o.RecUsers
 	return cfg, rc

@@ -23,8 +23,8 @@ type Options struct {
 	Objects int
 	// Seed seeds corpus generation and threshold training.
 	Seed int64
-	// Index is a prebuilt index: a clique-index file from figdata -index,
-	// or with Shards > 1 the base path of a figdata -shards snapshot set.
+	// Index is a prebuilt index: the snapshot file figdata -index wrote
+	// (or /v1/admin/snapshot served) at this Shards count.
 	Index string
 	// Shards is the engine shard count; > 1 serves scatter-gather over a
 	// partitioned index.
@@ -82,7 +82,7 @@ type Options struct {
 	// NodeName identifies which entry of Nodes this process is (role
 	// "shard" only).
 	NodeName string
-	// Bootstrap is a peer URL to stream this node's snapshot set from at
+	// Bootstrap is a peer URL to stream this node's snapshot from at
 	// startup via /v1/admin/snapshot (role "shard" only; empty builds the
 	// partition's index locally).
 	Bootstrap string
@@ -120,7 +120,7 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Data, "data", o.Data, "corpus gob written by figdata (empty = generate)")
 	fs.IntVar(&o.Objects, "objects", o.Objects, "corpus size when generating")
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "generation seed")
-	fs.StringVar(&o.Index, "index", o.Index, "prebuilt index: a clique-index file from figdata -index, or with -shards > 1 the base path of a snapshot set from figdata -shards")
+	fs.StringVar(&o.Index, "index", o.Index, "prebuilt index: the snapshot file from figdata -index, written at the same -shards")
 	fs.IntVar(&o.Shards, "shards", o.Shards, "engine shards; > 1 serves scatter-gather over a partitioned index")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "scoring workers per engine (0 = GOMAXPROCS; sharded mode usually keeps 1 per shard)")
 	fs.DurationVar(&o.Drain, "drain", o.Drain, "graceful-shutdown drain timeout")
@@ -134,7 +134,7 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Role, "role", o.Role, "multi-node role: standalone (default), shard (serve one partition of -nodes), or router (scatter-gather over -nodes)")
 	fs.StringVar(&o.Nodes, "nodes", o.Nodes, "comma-separated node list shared by every role (host:port or URL per entry)")
 	fs.StringVar(&o.NodeName, "node-name", o.NodeName, "which -nodes entry this process is (role shard)")
-	fs.StringVar(&o.Bootstrap, "bootstrap", o.Bootstrap, "peer URL to stream this node's snapshot set from at startup (role shard)")
+	fs.StringVar(&o.Bootstrap, "bootstrap", o.Bootstrap, "peer URL to stream this node's snapshot from at startup (role shard)")
 	fs.DurationVar(&o.HedgeAfter, "hedge-after", o.HedgeAfter, "hedged-request delay floor for slow nodes (role router; 0 = no hedging)")
 	fs.DurationVar(&o.ProbeInterval, "probe-interval", o.ProbeInterval, "cluster health-probe period (role router; 0 = default)")
 }

@@ -97,7 +97,7 @@ type backend interface {
 	// HealthFields are the backend's own /v1/healthz fields; called under
 	// View.
 	HealthFields() map[string]interface{}
-	// StreamSnapshot writes the backend's snapshot set, or refuses before
+	// StreamSnapshot writes the backend's snapshot, or refuses before
 	// writing anything with cluster.ErrNoSnapshot.
 	StreamSnapshot(w io.Writer) error
 }
@@ -384,9 +384,10 @@ func wireResponse(results []topk.Item, partial bool) api.WireSearchResponse {
 	return resp
 }
 
-// handleSnapshot serves GET /v1/admin/snapshot: the node's full snapshot
-// set as one stream (manifest line + length-prefixed FSG1 segments) — the
-// bootstrap source replacement nodes load through shard.LoadSnapshotStream.
+// handleSnapshot serves GET /v1/admin/snapshot: the node's snapshot
+// (manifest line + length-prefixed FSG1 segments, the file Router.Save
+// writes) — the bootstrap source replacement nodes load through
+// shard.LoadSnapshotStream.
 // A cluster front-end holds no index and refuses; integrity rides on the
 // segment CRCs the loader verifies.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
