@@ -3,7 +3,7 @@
 // enforcing the invariants the FIG reproduction depends on but the Go
 // compiler cannot see — epsilon discipline on similarity scores,
 // injected randomness for reproducible figures, deterministic ordering
-// of ranked output, and lock/goroutine hygiene on the serving path.
+// of ranked output, context plumbing, and lock hygiene on the serving path.
 //
 // Vetted exceptions are annotated in source with a pragma on, or on the
 // line above, the offending line:
@@ -70,12 +70,8 @@ func All() []*Analyzer {
 		GlobalRand,
 		MapOrder,
 		LockSafety,
-		NakedGo,
 		LockOrder,
-		GenStamp,
-		ParDet,
 		CtxFlow,
-		ErrEnvelope,
 	}
 }
 

@@ -10,14 +10,14 @@ func TestLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 10 {
-		t.Fatalf("suite has %d analyzers, want 10", len(all))
+	if len(all) != 6 {
+		t.Fatalf("suite has %d analyzers, want 6", len(all))
 	}
-	two, err := Lookup("nakedgo, floatcmp")
+	two, err := Lookup("maporder, floatcmp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(two) != 2 || two[0].Name != "nakedgo" || two[1].Name != "floatcmp" {
+	if len(two) != 2 || two[0].Name != "maporder" || two[1].Name != "floatcmp" {
 		t.Fatalf("Lookup order not preserved: %v", []string{two[0].Name, two[1].Name})
 	}
 	if _, err := Lookup("bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {

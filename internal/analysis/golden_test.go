@@ -72,20 +72,12 @@ func testFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	}
 }
 
-func TestFloatCmpGolden(t *testing.T)    { testFixture(t, "floatcmp", FloatCmp) }
-func TestGlobalRandGolden(t *testing.T)  { testFixture(t, "globalrand", GlobalRand) }
-func TestMapOrderGolden(t *testing.T)    { testFixture(t, "maporder", MapOrder) }
-func TestLockSafetyGolden(t *testing.T)  { testFixture(t, "locksafety", LockSafety) }
-func TestNakedGoGolden(t *testing.T)     { testFixture(t, "nakedgo", NakedGo) }
-func TestLockOrderGolden(t *testing.T)   { testFixture(t, "lockorder", LockOrder) }
-func TestGenStampGolden(t *testing.T)    { testFixture(t, "genstamp", GenStamp) }
-func TestParDetGolden(t *testing.T)      { testFixture(t, "pardet", ParDet) }
-func TestCtxFlowGolden(t *testing.T)     { testFixture(t, "ctxflow", CtxFlow) }
-func TestErrEnvelopeGolden(t *testing.T) { testFixture(t, "errenvelope", ErrEnvelope) }
-
-// TestNakedGoScope proves the package-name scoping: identical naked
-// goroutines outside server/retrieval produce nothing.
-func TestNakedGoScope(t *testing.T) { testFixture(t, "nakedgoscope", NakedGo) }
+func TestFloatCmpGolden(t *testing.T)   { testFixture(t, "floatcmp", FloatCmp) }
+func TestGlobalRandGolden(t *testing.T) { testFixture(t, "globalrand", GlobalRand) }
+func TestMapOrderGolden(t *testing.T)   { testFixture(t, "maporder", MapOrder) }
+func TestLockSafetyGolden(t *testing.T) { testFixture(t, "locksafety", LockSafety) }
+func TestLockOrderGolden(t *testing.T)  { testFixture(t, "lockorder", LockOrder) }
+func TestCtxFlowGolden(t *testing.T)    { testFixture(t, "ctxflow", CtxFlow) }
 
 // TestCtxFlowMainScope proves package main is exempt: minting the root
 // context there produces nothing.

@@ -191,11 +191,7 @@ func ResolveQuery(corpus *media.Corpus, req *SearchRequest) (*media.Object, erro
 		if !ok {
 			continue
 		}
-		count := f.Count
-		if count < 1 {
-			count = 1
-		}
-		fcs = append(fcs, media.FeatureCount{FID: fid, Count: uint16(count)})
+		fcs = append(fcs, media.FeatureCount{FID: fid, Count: media.ClampCount(f.Count)})
 	}
 	if len(fcs) == 0 {
 		return nil, fmt.Errorf("no query feature matches the corpus vocabulary")

@@ -15,7 +15,7 @@ import (
 // touching two cliques (one existing, one new), so the result exercises
 // every persistence case at once: fresh entries, stale entries, a sealed
 // arena, and a post-seal extraKeys entry.
-func buildWithStale(t *testing.T) (*Inverted, uint64) {
+func buildWithStale(t testing.TB) (*Inverted, uint64) {
 	t.Helper()
 	c, m := blockWorld(t)
 	inv := Build(m, fig.Options{}, fig.EnumerateOptions{MaxFeatures: 3})
@@ -136,7 +136,7 @@ func TestSegmentEmptyRoundTrip(t *testing.T) {
 	}
 }
 
-func segmentBytes(t *testing.T) []byte {
+func segmentBytes(t testing.TB) []byte {
 	t.Helper()
 	inv, gen := buildWithStale(t)
 	var buf bytes.Buffer
@@ -187,6 +187,30 @@ func TestSegmentBitFlips(t *testing.T) {
 			wantSegmentError(t, mut, "bit-flipped")
 		}
 	}
+}
+
+// FuzzLoadSegment: whatever bytes arrive as a snapshot segment, the loader
+// either returns an index or a descriptive error with no partial index —
+// never a panic. The seeds are a valid segment and every truncation and
+// bit flip of it that the two tests above check.
+func FuzzLoadSegment(f *testing.F) {
+	data := segmentBytes(f)
+	for n := 0; n <= len(data); n++ {
+		f.Add(data[:n])
+	}
+	for i := range data {
+		for bit := 0; bit < 8; bit += 3 {
+			mut := append([]byte(nil), data...)
+			mut[i] ^= 1 << bit
+			f.Add(mut)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		inv, err := readSegment(b, 2)
+		if err != nil && (inv != nil || !strings.HasPrefix(err.Error(), "index: segment: ")) {
+			t.Fatalf("error %q (partial index: %v); want an index: segment: error and no index", err, inv != nil)
+		}
+	})
 }
 
 // TestSegmentGarbage: structurally invalid inputs, with a valid magic or

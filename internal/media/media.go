@@ -9,6 +9,7 @@ package media
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -100,6 +101,19 @@ func (d *Dictionary) Len() int { return len(d.feats) }
 type FeatureCount struct {
 	FID   FID
 	Count uint16
+}
+
+// ClampCount saturates a caller-supplied count into [1, 65535]: the
+// one conversion from an int count to the stored uint16, shared by
+// Corpus.Add and query resolution so that no count wraps.
+func ClampCount(n int) uint16 {
+	if n < 1 {
+		return 1
+	}
+	if n > math.MaxUint16 {
+		return math.MaxUint16
+	}
+	return uint16(n)
 }
 
 // Object is one multi-modal media object. Feats is sorted by FID and free of
@@ -214,11 +228,7 @@ func (c *Corpus) Add(feats []Feature, counts []int, month int) (*Object, error) 
 	}
 	fcs := make([]FeatureCount, len(feats))
 	for i, f := range feats {
-		n := counts[i]
-		if n > 65535 {
-			n = 65535
-		}
-		fcs[i] = FeatureCount{FID: c.Dict.Intern(f), Count: uint16(n)}
+		fcs[i] = FeatureCount{FID: c.Dict.Intern(f), Count: ClampCount(counts[i])}
 	}
 	o := NewObject(ObjectID(len(c.Objects)), fcs, month)
 	c.Objects = append(c.Objects, o)
