@@ -312,12 +312,9 @@ func TestModelCosineCache(t *testing.T) {
 	c, ids := buildTinyCorpus(t)
 	m := NewModel(NewStats(c), nil, nil, nil, nil, nil)
 	a := m.Cor(ids["cat"], ids["u1"])
-	b := m.Cor(ids["u1"], ids["cat"]) // must hit the symmetric cache entry
+	b := m.Cor(ids["u1"], ids["cat"]) // the pair store holds one row entry per pair
 	if a != b {
-		t.Errorf("cached cosine asymmetric: %v vs %v", a, b)
-	}
-	if n := m.cache.Len(); n != 1 {
-		t.Errorf("cache size = %d, want 1", n)
+		t.Errorf("cosine asymmetric: %v vs %v", a, b)
 	}
 }
 
@@ -524,7 +521,6 @@ func TestModelAppend(t *testing.T) {
 
 	// The racing reader's late stores, stamped with the generation it
 	// captured before the append.
-	m.cache.Put(gen, uint64(uint32(cat))<<32|uint64(uint32(u1)), -1)
 	m.cors.Put(gen, "cat|u1", -1)
 	m.smooth.Put(gen, uint64(uint32(cat))<<32|uint64(uint32(o0.ID)), -1)
 	after, want := read(m), read(NewModel(NewStats(c), nil, nil, nil, nil, nil))

@@ -49,9 +49,10 @@ func DefaultThresholds() Thresholds {
 //	user × user     → shared-group correlation (graded by Jaccard);
 //	inter-type      → Eq. 1 statistical co-occurrence cosine.
 //
-// The Model owns every memo derived from the corpus statistics (cosines,
-// clique weights, smoothing sums) and Append, the one mutation that drops
-// them. Safe for concurrent readers; Append must be serialized against them.
+// The Model owns every memo derived from the corpus statistics (clique
+// weights, smoothing sums) and Append, the one mutation that drops them.
+// Eq. 1 needs no memo: Stats answers it from its pair store. Safe for
+// concurrent readers; Append must be serialized against them.
 type Model struct {
 	Stats      *Stats
 	Taxonomy   *lexicon.Taxonomy
@@ -71,8 +72,6 @@ type Model struct {
 	// — stamp what they hold with the generation it was computed from. No
 	// λ, α or δ enters them, so everything over this model shares them.
 	gen atomic.Uint64
-	// cache memoises the Eq. 1 cosine by ordered FID pair.
-	cache *floatcache.Cache[uint64]
 	// cors memoises the Eq. 9 clique weight by canonical clique key.
 	cors *floatcache.Cache[string]
 	// smooth memoises (FID, ObjectID) → Σ_{f_j∈O} Cor(f, f_j). Cliques
@@ -95,7 +94,6 @@ func NewModel(stats *Stats, tax *lexicon.Taxonomy, vocab *vision.Vocabulary, net
 		VisualWord: visualWord,
 		UserOf:     userOf,
 		Thresholds: DefaultThresholds(),
-		cache:      floatcache.New[uint64](floatcache.HashUint64),
 		cors:       floatcache.New[string](floatcache.HashString),
 		smooth:     floatcache.New[uint64](floatcache.HashUint64),
 	}
@@ -106,11 +104,10 @@ func NewModel(stats *Stats, tax *lexicon.Taxonomy, vocab *vision.Vocabulary, net
 // their entries.
 func (m *Model) Generation() uint64 { return m.gen.Load() }
 
-// CacheStats are the lifetime hit and miss counts of the model's three
+// CacheStats are the lifetime hit and miss counts of the model's two
 // memos — the observability hook the serving metrics expose. Misses are
 // exact; hits are a sampled estimate (see floatcache.Cache.Stats).
 type CacheStats struct {
-	CosineHits, CosineMisses uint64
 	CorSHits, CorSMisses     uint64
 	SmoothHits, SmoothMisses uint64
 }
@@ -118,7 +115,6 @@ type CacheStats struct {
 // CacheStats snapshots the memo counters.
 func (m *Model) CacheStats() CacheStats {
 	var s CacheStats
-	s.CosineHits, s.CosineMisses = m.cache.Stats()
 	s.CorSHits, s.CorSMisses = m.cors.Stats()
 	s.SmoothHits, s.SmoothMisses = m.smooth.Stats()
 	return s
@@ -165,7 +161,7 @@ func (m *Model) Cor(a, b media.FID) float64 {
 			}
 		}
 	}
-	return m.cosine(a, b)
+	return m.Stats.Cosine(a, b)
 }
 
 // SetAudio wires the audio-word substrate into the model's intra-type
@@ -174,28 +170,6 @@ func (m *Model) Cor(a, b media.FID) float64 {
 func (m *Model) SetAudio(vocab *vision.Vocabulary, words map[media.FID]int) {
 	m.AudioVocab = vocab
 	m.AudioWord = words
-}
-
-func (m *Model) cosine(a, b media.FID) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	key := uint64(uint32(a))<<32 | uint64(uint32(b))
-	gen := m.gen.Load()
-	if v, ok := m.cache.Get(gen, key); ok {
-		return v
-	}
-	v := m.Stats.Cosine(a, b)
-	// Store only if the generation is unchanged since the pre-compute
-	// load: a value derived from post-insert statistics must not be
-	// stamped with the pre-insert generation, where same-generation
-	// readers would trust it. (See the floatcache package comment for why
-	// this check narrows, but external serialization of stats mutation
-	// eliminates, the race.)
-	if m.gen.Load() == gen {
-		m.cache.Put(gen, key, v)
-	}
-	return v
 }
 
 // CliqueWeight is Stats.CliqueWeight, the Eq. 9 importance weight, memoised
@@ -207,7 +181,12 @@ func (m *Model) CliqueWeight(key string, feats []media.FID) float64 {
 		return v
 	}
 	v := m.Stats.CliqueWeight(feats)
-	// Same store-side re-check as cosine.
+	// Store only if the generation is unchanged since the pre-compute
+	// load: a value derived from post-insert statistics must not be
+	// stamped with the pre-insert generation, where same-generation
+	// readers would trust it. (See the floatcache package comment for why
+	// this check narrows, but external serialization of stats mutation
+	// eliminates, the race.)
 	if m.gen.Load() == gen {
 		m.cors.Put(gen, key, v)
 	}
@@ -227,7 +206,7 @@ func (m *Model) ObjectCor(f media.FID, o *media.Object) float64 {
 	for _, fj := range o.Feats {
 		v += m.Cor(f, fj)
 	}
-	// Same store-side re-check as cosine.
+	// Same store-side re-check as CliqueWeight.
 	if m.gen.Load() == gen {
 		m.smooth.Put(gen, key, v)
 	}
@@ -292,8 +271,8 @@ func (m *Model) TrainThresholdsWorkers(sampleObjects int, quantile float64, rng 
 			}
 		}
 	}
-	// Cor is safe for concurrent use (the cosine cache is sharded), so the
-	// evaluations stripe freely; each worker writes only its own slots.
+	// Cor only reads the statistics, so the evaluations stripe freely;
+	// each worker writes only its own slots.
 	par.Range(len(pairsList), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pairsList[i].v = m.Cor(pairsList[i].a, pairsList[i].b)
@@ -347,7 +326,6 @@ func (m *Model) Append(feats []media.Feature, counts []int, month int) (*media.O
 // with them. Append's last step, exported for tests that grow Stats by hand.
 func (m *Model) InvalidateCache() {
 	m.gen.Add(1)
-	m.cache.Reset()
 	m.cors.Reset()
 	m.smooth.Reset()
 }

@@ -15,23 +15,36 @@ package corr
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"figfusion/internal/media"
 	"figfusion/internal/numeric"
 )
 
-// Stats holds per-feature corpus statistics: posting lists and frequency
-// moments. It is built once per corpus and is safe for concurrent reads.
+// Stats holds per-feature corpus statistics: posting lists, frequency
+// moments and the pair store behind Eq. 1. It is built once per corpus,
+// grown by Append, and is safe for concurrent reads.
 type Stats struct {
 	corpus   *media.Corpus
 	postings [][]media.ObjectID // FID -> sorted objects containing it
 	pcounts  [][]uint16         // FID -> counts aligned with postings
 	sumCount []float64          // FID -> Σ_i n_{f,i}
 	sumSq    []float64          // FID -> Σ_i n_{f,i}²
+	pairs    []pairRow          // FID a -> P[a, b] for every b > a sharing an object with a
 }
 
-// NewStats scans the corpus and builds posting lists and moments.
+// pairRow is one feature a's row of the pair store: every feature b > a
+// that shares at least one object with a, ascending, with the co-moment
+// P[a, b] = Σ_o n_{a,o}·n_{b,o} alongside. Each term is a product of two
+// uint16 counts, so the float64 sum is an exact integer in any order —
+// NewStats, Append and a per-object sum all give the same bits.
+type pairRow struct {
+	fids []media.FID
+	dots []float64
+}
+
+// NewStats scans the corpus and builds posting lists, moments and the
+// pair store.
 func NewStats(c *media.Corpus) *Stats {
 	nf := c.Dict.Len()
 	s := &Stats{
@@ -40,6 +53,7 @@ func NewStats(c *media.Corpus) *Stats {
 		pcounts:  make([][]uint16, nf),
 		sumCount: make([]float64, nf),
 		sumSq:    make([]float64, nf),
+		pairs:    make([]pairRow, nf),
 	}
 	for _, o := range c.Objects {
 		for i, fid := range o.Feats {
@@ -49,6 +63,38 @@ func NewStats(c *media.Corpus) *Stats {
 			s.sumCount[fid] += cnt
 			s.sumSq[fid] += cnt * cnt
 		}
+	}
+	// One row at a time: walk a's postings, accumulate each later feature
+	// of those objects into a dense scratch, then emit the touched FIDs
+	// sorted. seen[b] == a+1 marks b as already in row a.
+	acc := make([]float64, nf)
+	seen := make([]media.FID, nf)
+	var touched []media.FID
+	for a := range s.pairs {
+		touched = touched[:0]
+		for k, oid := range s.postings[a] {
+			o := c.Object(oid)
+			ca := float64(s.pcounts[a][k])
+			i, _ := slices.BinarySearch(o.Feats, media.FID(a))
+			for j := i + 1; j < len(o.Feats); j++ {
+				b := o.Feats[j]
+				if seen[b] != media.FID(a+1) {
+					seen[b] = media.FID(a + 1)
+					acc[b] = 0
+					touched = append(touched, b)
+				}
+				acc[b] += ca * float64(o.Counts[j])
+			}
+		}
+		if len(touched) == 0 {
+			continue
+		}
+		slices.Sort(touched)
+		row := pairRow{fids: slices.Clone(touched), dots: make([]float64, len(touched))}
+		for i, b := range touched {
+			row.dots[i] = acc[b]
+		}
+		s.pairs[a] = row
 	}
 	return s
 }
@@ -95,64 +141,28 @@ func (s *Stats) Variance(fid media.FID) float64 {
 	return v
 }
 
-// gallopSkew is the length ratio beyond which Dot switches from the linear
-// merge to galloping: exponential search only wins once one list is much
-// longer than the other, otherwise the doubling probes cost more than the
-// straight scan they replace.
-const gallopSkew = 8
-
 // Dot returns n⃗1·n⃗2: the sum over objects of the product of the two
-// features' frequencies, computed by intersecting posting lists. Counts
-// ride alongside the postings, so no per-match corpus lookups are needed.
-// When the list lengths are skewed more than gallopSkew×, the scan of the
-// longer list gallops (exponential search then binary refinement); the
-// matches — and therefore the floating-point sum — are identical to the
-// linear merge's, as the property test cross-checks.
+// features' frequencies, read from the pair store. Dot(a, a) is the
+// feature's Σ n², and a pair that shares no object (or names a FID the
+// statistics have never seen) is 0.
 func (s *Stats) Dot(a, b media.FID) float64 {
-	pa, pb := s.Postings(a), s.Postings(b)
-	if len(pa) > len(pb) {
-		pa, pb = pb, pa
+	if a == b {
+		if int(a) >= len(s.sumSq) {
+			return 0
+		}
+		return s.sumSq[a]
+	}
+	if a > b {
 		a, b = b, a
 	}
-	ca, cb := s.counts(a), s.counts(b)
-	var dot float64
-	j := 0
-	gallop := len(pb) > gallopSkew*len(pa)
-	for i, oid := range pa {
-		if gallop {
-			j = gallopTo(pb, j, oid)
-		} else {
-			for j < len(pb) && pb[j] < oid {
-				j++
-			}
-		}
-		if j < len(pb) && pb[j] == oid {
-			dot += float64(ca[i]) * float64(cb[j])
-		}
+	if int(a) >= len(s.pairs) {
+		return 0
 	}
-	return dot
-}
-
-// gallopTo returns the smallest index ≥ from with list[index] ≥ target,
-// probing at exponentially growing strides and binary-searching the last
-// bracket. Equivalent to advancing linearly, in O(log gap).
-func gallopTo(list []media.ObjectID, from int, target media.ObjectID) int {
-	if from >= len(list) || list[from] >= target {
-		return from
+	row := &s.pairs[a]
+	if i, ok := slices.BinarySearch(row.fids, b); ok {
+		return row.dots[i]
 	}
-	step := 1
-	lo := from
-	hi := from + step
-	for hi < len(list) && list[hi] < target {
-		lo = hi
-		step *= 2
-		hi = lo + step
-	}
-	if hi > len(list) {
-		hi = len(list)
-	}
-	// Invariant: list[lo] < target, and list[hi] ≥ target if hi < len.
-	return lo + sort.Search(hi-lo, func(i int) bool { return list[lo+i] >= target })
+	return 0
 }
 
 func (s *Stats) counts(fid media.FID) []uint16 {
@@ -325,11 +335,12 @@ func (s *Stats) CliqueWeightWith(fids []media.FID, ws *WeightScratch) float64 {
 }
 
 // Append folds one newly added corpus object into the statistics: posting
-// lists and frequency moments grow in place. The object must already be in
-// the corpus this Stats was built from (same ObjectID space) and must have
-// an ID larger than any previously accounted object, so posting lists stay
-// sorted. Model.Append is the caller that also drops what was memoised
-// from the statistics; corpus-level statistics shift with every insertion.
+// lists, frequency moments and the pair store grow in place. The object
+// must already be in the corpus this Stats was built from (same ObjectID
+// space) and must have an ID larger than any previously accounted object,
+// so posting lists stay sorted. Model.Append is the caller that also drops
+// what was memoised from the statistics; corpus-level statistics shift
+// with every insertion.
 func (s *Stats) Append(o *media.Object) error {
 	if int(o.ID) >= s.corpus.Len() || s.corpus.Object(o.ID) != o {
 		return fmt.Errorf("corr: object %d is not part of the corpus", o.ID)
@@ -340,6 +351,7 @@ func (s *Stats) Append(o *media.Object) error {
 			s.pcounts = append(s.pcounts, nil)
 			s.sumCount = append(s.sumCount, 0)
 			s.sumSq = append(s.sumSq, 0)
+			s.pairs = append(s.pairs, pairRow{})
 		}
 		if n := len(s.postings[fid]); n > 0 && s.postings[fid][n-1] >= o.ID {
 			return fmt.Errorf("corr: object %d appended out of order for feature %d", o.ID, fid)
@@ -349,6 +361,20 @@ func (s *Stats) Append(o *media.Object) error {
 		s.pcounts[fid] = append(s.pcounts[fid], o.Counts[i])
 		s.sumCount[fid] += cnt
 		s.sumSq[fid] += cnt * cnt
+	}
+	// o.Feats is sorted, so every pair (i, j > i) lands in row Feats[i].
+	for i, a := range o.Feats {
+		row := &s.pairs[a]
+		for j := i + 1; j < len(o.Feats); j++ {
+			p := float64(o.Counts[i]) * float64(o.Counts[j])
+			k, ok := slices.BinarySearch(row.fids, o.Feats[j])
+			if ok {
+				row.dots[k] += p
+				continue
+			}
+			row.fids = slices.Insert(row.fids, k, o.Feats[j])
+			row.dots = slices.Insert(row.dots, k, p)
+		}
 	}
 	return nil
 }

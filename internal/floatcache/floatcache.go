@@ -1,9 +1,8 @@
 // Package floatcache provides the sharded, generation-stamped float64
 // memoisation cache behind the query hot path. The memoised quantities
-// (correlation cosines, clique CorS weights, per-(feature, object)
-// smoothing sums — all three owned by corr.Model) are derived from
-// corpus-global statistics, which gives them two properties this cache
-// encodes:
+// (clique CorS weights and per-(feature, object) smoothing sums, both
+// owned by corr.Model) are derived from corpus-global statistics, which
+// gives them two properties this cache encodes:
 //
 //   - They are read by every concurrent query, so a single global mutex
 //     serialises the whole serving path. Entries are striped over

@@ -10,33 +10,21 @@ import (
 // entry's sorted posting list is cut into runs of up to BlockLen object
 // IDs, each summarised by its ID range and the maxima of the two
 // candidate-dependent components of the Eq. 7 conditional. The length
-// trades summary footprint (one 40-byte block row per run) against pruning
+// trades summary footprint (one 32-byte Block per run) against pruning
 // granularity (the lazy TA path scores a whole run the moment its bound
-// surfaces). 64 keeps the summary under 8% of the posting list's
-// footprint; halving it measured slower on the tracked -scale 4000 TA
+// surfaces). 64 keeps the summary at an eighth of the posting list's
+// 4-byte-per-ID footprint; halving it measured slower on the tracked -scale 4000 TA
 // series — finer blocks mean more frontier-heap traffic, which costs
 // more than the extra skipped potentials save.
 const BlockLen = 64
 
-// Block is one run's summary in row form — the shape the tests assemble
-// expectations in. In memory the summaries are stored columnar (see
-// BlockSlice).
-type Block struct {
-	MinID media.ObjectID
-	MaxID media.ObjectID
-	MaxSF float64
-	MaxSM float64
-	MinSM float64
-}
-
-// BlockSlice is a columnar view over an entry's block summaries: five
-// parallel arrays, one element per block of up to BlockLen postings. MaxSF
-// and MaxSM are maxima of the parameter-independent conditional components
-// returned by mrf.PotentialParts — set-frequency ratio and
-// smoothing mean — so one stored summary serves any (α, λ, CorS): the
-// query-time upper bound for a clique with weighted lambda wl is
+// Block is one run's summary: the run's ID range and the maxima of the
+// parameter-independent conditional components returned by
+// mrf.PotentialParts — set-frequency ratio and smoothing mean — so one
+// stored summary serves any (α, λ, CorS): the query-time upper bound for a
+// clique with weighted lambda wl is
 //
-//	wl · ((1−α)·MaxSF[i] + α·MaxSM[i])
+//	wl · ((1−α)·MaxSF + α·MaxSM)
 //
 // inflated by the pruning layer's reassociation slack. MaxSM may be
 // negative (the smoothing correction subtracts clique-internal
@@ -45,26 +33,16 @@ type Block struct {
 // mean in the block — exists purely for the slack: the floating-point
 // error of the bound comparison is relative to the magnitudes of the terms
 // involved, not to their (possibly cancelling) sum, so the inflation term
-// needs the largest |sm| in the block, which is max(|MaxSM|, |MinSM[i]|).
+// needs the largest |sm| in the block, which is max(|MaxSM|, |MinSM|).
 //
-// On a sealed index the five arrays are sub-slices of the index's shared
-// columnar arenas — the pruned TA path aliases MinID/MaxID directly as its
-// random-access search arrays, with no per-query copy.
-type BlockSlice struct {
-	MinID []media.ObjectID
-	MaxID []media.ObjectID
-	MaxSF []float64
-	MaxSM []float64
-	MinSM []float64
-}
-
-// Len returns the number of blocks in the view.
-func (b BlockSlice) Len() int { return len(b.MinID) }
-
-// Block assembles row i of the view for tests; hot paths read the columns
-// directly.
-func (b BlockSlice) Block(i int) Block {
-	return Block{MinID: b.MinID[i], MaxID: b.MaxID[i], MaxSF: b.MaxSF[i], MaxSM: b.MaxSM[i], MinSM: b.MinSM[i]}
+// An entry holds one Block per run of up to BlockLen postings; on a sealed
+// index that slice is a view into the index's shared block arena.
+type Block struct {
+	MinID media.ObjectID
+	MaxID media.ObjectID
+	MaxSF float64
+	MaxSM float64
+	MinSM float64
 }
 
 // BlocksAt returns the entry's block summaries if they were computed at
@@ -74,17 +52,16 @@ func (b BlockSlice) Block(i int) Block {
 // describe a corpus that no longer exists; serving them would silently
 // break the block bound, the same failure class as the stale-weight
 // bug the generation stamps were introduced for.
-func (e *Entry) BlocksAt(gen uint64) (BlockSlice, bool) {
-	if e.corsGen != gen || e.blocks.Len() == 0 {
-		return BlockSlice{}, false
+func (e *Entry) BlocksAt(gen uint64) ([]Block, bool) {
+	if e.corsGen != gen || len(e.blocks) == 0 {
+		return nil, false
 	}
 	return e.blocks, true
 }
 
 // computeBlocks (re)builds an entry's block summaries from the current
-// corpus, into owned columnar storage (sealing later migrates it into the
-// shared arenas). Callers stamp the entry's generation alongside, as with
-// CorS.
+// corpus into an owned slice (sealing later migrates it into the shared
+// arena). Callers stamp the entry's generation alongside, as with CorS.
 //
 // An entry whose feature set names FIDs outside the dictionary (possible
 // through Insert with caller-synthesized cliques) gets blocks without
@@ -97,7 +74,7 @@ func computeBlocks(m *corr.Model, e *Entry) {
 	corpus := m.Stats.Corpus()
 	n := len(e.Objects)
 	if n == 0 {
-		e.blocks = BlockSlice{}
+		e.blocks = nil
 		return
 	}
 	known := true
@@ -107,37 +84,27 @@ func computeBlocks(m *corr.Model, e *Entry) {
 			break
 		}
 	}
-	nb := (n + BlockLen - 1) / BlockLen
-	ids := make([]media.ObjectID, 2*nb)
-	fs := make([]float64, 3*nb)
-	b := BlockSlice{
-		MinID: ids[:nb:nb], MaxID: ids[nb : 2*nb : 2*nb],
-		MaxSF: fs[:nb:nb], MaxSM: fs[nb : 2*nb : 2*nb], MinSM: fs[2*nb : 3*nb : 3*nb],
-	}
-	for bi := 0; bi < nb; bi++ {
+	blocks := make([]Block, (n+BlockLen-1)/BlockLen)
+	for bi := range blocks {
 		lo := bi * BlockLen
-		hi := lo + BlockLen
-		if hi > n {
-			hi = n
-		}
-		b.MinID[bi], b.MaxID[bi] = e.Objects[lo], e.Objects[hi-1]
-		first := true
-		for _, oid := range e.Objects[lo:hi] {
+		hi := min(lo+BlockLen, n)
+		b := &blocks[bi]
+		b.MinID, b.MaxID = e.Objects[lo], e.Objects[hi-1]
+		for j, oid := range e.Objects[lo:hi] {
 			var sf, sm float64
 			if known {
 				sf, sm = mrf.PotentialParts(m, e.Feats, corpus.Object(oid))
 			}
-			if first || sf > b.MaxSF[bi] {
-				b.MaxSF[bi] = sf
+			if j == 0 || sf > b.MaxSF {
+				b.MaxSF = sf
 			}
-			if first || sm > b.MaxSM[bi] {
-				b.MaxSM[bi] = sm
+			if j == 0 || sm > b.MaxSM {
+				b.MaxSM = sm
 			}
-			if first || sm < b.MinSM[bi] {
-				b.MinSM[bi] = sm
+			if j == 0 || sm < b.MinSM {
+				b.MinSM = sm
 			}
-			first = false
 		}
 	}
-	e.blocks = b
+	e.blocks = blocks
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"figfusion/internal/corr"
 	"figfusion/internal/fig"
@@ -59,14 +60,14 @@ func TestBlocksCoverPostings(t *testing.T) {
 			t.Fatalf("entry %v: no fresh blocks at build generation", e.Feats)
 		}
 		want := (len(e.Objects) + BlockLen - 1) / BlockLen
-		if blocks.Len() != want {
-			t.Fatalf("entry %v: %d blocks over %d postings, want %d", e.Feats, blocks.Len(), len(e.Objects), want)
+		if len(blocks) != want {
+			t.Fatalf("entry %v: %d blocks over %d postings, want %d", e.Feats, len(blocks), len(e.Objects), want)
 		}
 		if want > 1 {
 			multi++
 		}
-		for bi := 0; bi < blocks.Len(); bi++ {
-			b := blocks.Block(bi)
+		for bi := 0; bi < len(blocks); bi++ {
+			b := blocks[bi]
 			lo := bi * BlockLen
 			hi := lo + BlockLen
 			if hi > len(e.Objects) {
@@ -101,7 +102,7 @@ func TestBlockBoundsSound(t *testing.T) {
 			t.Fatalf("entry %v: no fresh blocks", e.Feats)
 		}
 		for j, oid := range e.Objects {
-			b := blocks.Block(j / BlockLen)
+			b := blocks[j/BlockLen]
 			sf, sm := mrf.PotentialParts(m, e.Feats, corpus.Object(oid))
 			if sf > b.MaxSF {
 				t.Fatalf("entry %v posting %d: sf %v exceeds block MaxSF %v", e.Feats, oid, sf, b.MaxSF)
@@ -143,12 +144,12 @@ func TestBlocksSaveLoadRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("entry %v: blocks not fresh after load", e.Feats)
 		}
-		if lb.Len() != eb.Len() {
-			t.Fatalf("entry %v: %d blocks after load, want %d", e.Feats, lb.Len(), eb.Len())
+		if len(lb) != len(eb) {
+			t.Fatalf("entry %v: %d blocks after load, want %d", e.Feats, len(lb), len(eb))
 		}
-		for i := 0; i < lb.Len(); i++ {
-			if lb.Block(i) != eb.Block(i) {
-				t.Fatalf("entry %v block %d differs after load: %+v vs %+v", e.Feats, i, lb.Block(i), eb.Block(i))
+		for i := 0; i < len(lb); i++ {
+			if lb[i] != eb[i] {
+				t.Fatalf("entry %v block %d differs after load: %+v vs %+v", e.Feats, i, lb[i], eb[i])
 			}
 		}
 	}
@@ -188,10 +189,10 @@ func TestInsertRefreshesBlocks(t *testing.T) {
 		if !ok {
 			t.Fatalf("touched entry %v: blocks not refreshed by Insert", q.Feats)
 		}
-		if want := (len(e.Objects) + BlockLen - 1) / BlockLen; blocks.Len() != want {
-			t.Fatalf("touched entry %v: %d blocks over %d postings, want %d", q.Feats, blocks.Len(), len(e.Objects), want)
+		if want := (len(e.Objects) + BlockLen - 1) / BlockLen; len(blocks) != want {
+			t.Fatalf("touched entry %v: %d blocks over %d postings, want %d", q.Feats, len(blocks), len(e.Objects), want)
 		}
-		if last := blocks.Block(blocks.Len() - 1); last.MaxID != o.ID {
+		if last := blocks[len(blocks)-1]; last.MaxID != o.ID {
 			t.Fatalf("touched entry %v: last block ends at %d, inserted object is %d", q.Feats, last.MaxID, o.ID)
 		}
 	}
@@ -204,5 +205,48 @@ func TestInsertRefreshesBlocks(t *testing.T) {
 	}
 	if _, ok := ue.BlocksAt(gen - 1); !ok {
 		t.Fatal("untouched entry lost its build-generation blocks")
+	}
+}
+
+// TestMemoryBytesDerivation pins the index.resident.bytes estimate to the
+// in-memory layout: 4 B per posting and per feature slot, one Block per
+// block-summary slot (a sealed entry's views are capacity-capped, so its
+// slots are its elements), the key bytes, and per entry its header plus the lookup map's
+// share — with the header taken from the Entry type itself, so the gauge
+// follows any change to it. A clique added by Insert after sealing is
+// counted through the same terms.
+func TestMemoryBytesDerivation(t *testing.T) {
+	c, m := blockWorld(t)
+	inv := Build(m, fig.Options{}, fig.EnumerateOptions{MaxFeatures: 3})
+	want := func() int64 {
+		var posts, feats, blocks, keys int64
+		for k, e := range inv.entries {
+			posts += int64(cap(e.Objects))
+			feats += int64(cap(e.Feats))
+			blocks += int64(cap(e.blocks))
+			keys += int64(len(k))
+		}
+		perEntry := int64(unsafe.Sizeof(Entry{})) + mapBytesPerKey
+		return 4*posts + 4*feats + int64(unsafe.Sizeof(Block{}))*blocks + keys + int64(len(inv.entries))*perEntry
+	}
+	if got, w := inv.MemoryBytes(), want(); got != w {
+		t.Fatalf("sealed index: MemoryBytes = %d, derivation gives %d", got, w)
+	}
+
+	tf := func(n string) media.Feature { return media.Feature{Kind: media.Text, Name: n} }
+	o, err := c.Add([]media.Feature{tf("brandnew")}, []int{1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Stats.Append(o); err != nil {
+		t.Fatal(err)
+	}
+	m.InvalidateCache()
+	id, _ := c.Dict.Lookup(tf("brandnew"))
+	if err := inv.Insert(o.ID, []fig.Clique{{Feats: []media.FID{id}}}, m); err != nil {
+		t.Fatal(err)
+	}
+	if got, w := inv.MemoryBytes(), want(); got != w {
+		t.Fatalf("after inserting a new clique: MemoryBytes = %d, derivation gives %d", got, w)
 	}
 }

@@ -8,9 +8,9 @@
 //
 // Memory layout: after Build or Load the index is sealed into flat arenas —
 // all postings in one shared []media.ObjectID, all feature lists in one
-// shared []media.FID, all block summaries in columnar float64/ObjectID
-// arrays, and all entry headers in one []Entry slice — with each Entry
-// holding (offset, length) views into the shared storage. A
+// shared []media.FID, all block summaries in one shared []Block, and all
+// entry headers in one []Entry slice — with each Entry holding (offset,
+// length) views into the shared storage. A
 // millions-of-objects index is then a handful of large allocations instead
 // of per-clique pointer soup, which is what keeps steady-state RSS
 // postings-sized and lets the segment loader reconstruct the index with a
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"figfusion/internal/corr"
 	"figfusion/internal/fig"
@@ -42,20 +43,20 @@ import (
 // computation; readers go through CorSAt, which refuses to serve a value
 // from another generation.
 //
-// Feats and Objects are views into the index's shared arenas once the
-// index is sealed (they carry cap == len, so appends copy out rather than
-// clobber a neighbour's postings); block summaries live behind BlocksAt as
-// columnar views for the same reason.
+// Feats, Objects and the block summaries behind BlocksAt are views into
+// the index's shared arenas once the index is sealed (they carry
+// cap == len, so appends copy out rather than clobber a neighbour's
+// postings).
 type Entry struct {
 	Feats   []media.FID
 	CorS    float64
 	Objects []media.ObjectID
 
 	// blocks are the block-max summaries over Objects (see blocks.go),
-	// stored columnar. They share corsGen: blocks and CorS are always
-	// recomputed together, and both go stale together when the corpus
-	// moves on. Read through BlocksAt.
-	blocks BlockSlice
+	// one per run of BlockLen postings. They share corsGen: blocks and
+	// CorS are always recomputed together, and both go stale together
+	// when the corpus moves on. Read through BlocksAt.
+	blocks []Block
 
 	// corsGen is the model generation CorS was computed at. staleGen
 	// marks a value known to predate the current corpus (set by Load for
@@ -85,17 +86,11 @@ func (e *Entry) CorSAt(gen uint64) (float64, bool) {
 // Insert that grows an entry copies that entry's view out instead — so
 // *Entry pointers into ents stay valid for the life of the index.
 type arena struct {
-	keys  []string
-	ents  []Entry
-	feats []media.FID
-	posts []media.ObjectID
-
-	// Columnar block-summary storage, aligned across the five arrays.
-	blkMinID []media.ObjectID
-	blkMaxID []media.ObjectID
-	blkMaxSF []float64
-	blkMaxSM []float64
-	blkMinSM []float64
+	keys   []string
+	ents   []Entry
+	feats  []media.FID
+	posts  []media.ObjectID
+	blocks []Block
 }
 
 // Inverted is the clique inverted index. It is immutable after Build and
@@ -233,48 +228,28 @@ func (inv *Inverted) seal(keys []string) {
 		e := inv.entries[k]
 		nFeats += len(e.Feats)
 		nPosts += len(e.Objects)
-		nBlocks += e.blocks.Len()
+		nBlocks += len(e.blocks)
 	}
 	a.feats = make([]media.FID, 0, nFeats)
 	a.posts = make([]media.ObjectID, 0, nPosts)
-	a.blkMinID = make([]media.ObjectID, 0, nBlocks)
-	a.blkMaxID = make([]media.ObjectID, 0, nBlocks)
-	a.blkMaxSF = make([]float64, 0, nBlocks)
-	a.blkMaxSM = make([]float64, 0, nBlocks)
-	a.blkMinSM = make([]float64, 0, nBlocks)
+	a.blocks = make([]Block, 0, nBlocks)
 	for i, k := range keys {
 		e := inv.entries[k]
-		fo, po, bo := len(a.feats), len(a.posts), len(a.blkMinID)
+		fo, po, bo := len(a.feats), len(a.posts), len(a.blocks)
 		a.feats = append(a.feats, e.Feats...)
 		a.posts = append(a.posts, e.Objects...)
-		a.blkMinID = append(a.blkMinID, e.blocks.MinID...)
-		a.blkMaxID = append(a.blkMaxID, e.blocks.MaxID...)
-		a.blkMaxSF = append(a.blkMaxSF, e.blocks.MaxSF...)
-		a.blkMaxSM = append(a.blkMaxSM, e.blocks.MaxSM...)
-		a.blkMinSM = append(a.blkMinSM, e.blocks.MinSM...)
+		a.blocks = append(a.blocks, e.blocks...)
 		a.ents[i] = Entry{
 			Feats:   a.feats[fo:len(a.feats):len(a.feats)],
 			CorS:    e.CorS,
 			Objects: a.posts[po:len(a.posts):len(a.posts)],
-			blocks:  a.blockView(bo, len(a.blkMinID)),
+			blocks:  a.blocks[bo:len(a.blocks):len(a.blocks)],
 			corsGen: e.corsGen,
 		}
 		inv.entries[k] = &a.ents[i]
 	}
 	inv.arena = a
 	inv.extraKeys = nil
-}
-
-// blockView returns the columnar view over block rows [lo, hi), capped so
-// appends copy out of the arena.
-func (a *arena) blockView(lo, hi int) BlockSlice {
-	return BlockSlice{
-		MinID: a.blkMinID[lo:hi:hi],
-		MaxID: a.blkMaxID[lo:hi:hi],
-		MaxSF: a.blkMaxSF[lo:hi:hi],
-		MaxSM: a.blkMaxSM[lo:hi:hi],
-		MinSM: a.blkMinSM[lo:hi:hi],
-	}
 }
 
 // sortedKeys returns every clique key in sorted order, reusing the sealed
@@ -338,26 +313,27 @@ func (inv *Inverted) Postings() int {
 	return total
 }
 
+// mapBytesPerKey is MemoryBytes' estimate of the lookup map's per-key
+// bucket share: string header, pointer and bucket overhead.
+const mapBytesPerKey = 48
+
 // MemoryBytes estimates the index's resident heap footprint: the arena
-// payloads (postings, feature lists, columnar block summaries, entry
-// headers, key bytes) plus a fixed per-entry estimate for the lookup map's
-// bucket overhead. Entries grown or added by Insert after sealing are
+// payloads (postings, feature lists, block summaries, entry headers, key
+// bytes) plus a fixed per-entry estimate for the lookup map's bucket
+// overhead. Entries grown or added by Insert after sealing are
 // counted through the same per-entry accounting. The number is an
 // estimate — Go's allocator rounds size classes — but it tracks the real
 // footprint closely enough for the index.resident.bytes gauge to be
 // meaningful.
 func (inv *Inverted) MemoryBytes() int64 {
-	// Per-entry fixed cost: the Entry header (three slice headers, a
-	// float64, a uint64, the BlockSlice's five slice headers ≈ 200 B) plus
-	// the lookup map's per-key bucket share (string header + pointer +
-	// bucket overhead ≈ 48 B).
-	const perEntry = 248
+	// Per-entry fixed cost: the Entry header plus the lookup map's share.
+	const perEntry = int64(unsafe.Sizeof(Entry{})) + mapBytesPerKey
 	var b int64
 	var nPosts, nFeats, nBlocks, keyBytes int64
 	if inv.arena != nil {
 		nPosts = int64(cap(inv.arena.posts))
 		nFeats = int64(cap(inv.arena.feats))
-		nBlocks = int64(cap(inv.arena.blkMinID))
+		nBlocks = int64(cap(inv.arena.blocks))
 		for _, k := range inv.arena.keys {
 			keyBytes += int64(len(k))
 		}
@@ -368,20 +344,20 @@ func (inv *Inverted) MemoryBytes() int64 {
 			e := inv.entries[k]
 			nPosts += int64(cap(e.Objects))
 			nFeats += int64(cap(e.Feats))
-			nBlocks += int64(cap(e.blocks.MinID))
+			nBlocks += int64(cap(e.blocks))
 		}
 	} else {
 		for k, e := range inv.entries {
 			keyBytes += int64(len(k))
 			nPosts += int64(cap(e.Objects))
 			nFeats += int64(cap(e.Feats))
-			nBlocks += int64(cap(e.blocks.MinID))
+			nBlocks += int64(cap(e.blocks))
 		}
 	}
-	b += nPosts * 4            // postings
-	b += nFeats * 4            // feature lists
-	b += nBlocks * (2*4 + 3*8) // columnar block summaries
-	b += keyBytes              // interned key bytes (map and table share them)
+	b += nPosts * 4                              // postings
+	b += nFeats * 4                              // feature lists
+	b += nBlocks * int64(unsafe.Sizeof(Block{})) // block summaries
+	b += keyBytes                                // interned key bytes (map and table share them)
 	b += int64(len(inv.entries)) * perEntry
 	return b
 }

@@ -15,7 +15,8 @@
 //	streams         per-entry feature streams concatenated (varint-delta:
 //	                uvarint(first FID), then uvarint gaps), then per-entry
 //	                posting streams concatenated (varint-delta, same shape)
-//	blocks          columnar block summaries: maxSF f64[Σb] · maxSM f64[Σb] ·
+//	blocks          block summaries stored columnar on disk (in memory they
+//	                are one Block row each): maxSF f64[Σb] · maxSM f64[Σb] ·
 //	                minSM f64[Σb]
 //	trailer  20 B   CRC32-IEEE of each section payload (4×u32), then
 //	                CRC32-IEEE of header+directory (u32)
@@ -109,17 +110,14 @@ func deltaStreamLen[T ~int32](vals []T) int {
 // without persisted summaries loads as unprunable, which the pruning
 // layer already treats as "search this list unpruned".
 func persistableBlocks(e *Entry) int {
-	nb := e.blocks.Len()
+	nb := len(e.blocks)
 	if nb == 0 || nb != (len(e.Objects)+BlockLen-1)/BlockLen {
 		return 0
 	}
 	for bi := 0; bi < nb; bi++ {
 		lo := bi * BlockLen
-		hi := lo + BlockLen
-		if hi > len(e.Objects) {
-			hi = len(e.Objects)
-		}
-		if e.blocks.MinID[bi] != e.Objects[lo] || e.blocks.MaxID[bi] != e.Objects[hi-1] {
+		hi := min(lo+BlockLen, len(e.Objects))
+		if e.blocks[bi].MinID != e.Objects[lo] || e.blocks[bi].MaxID != e.Objects[hi-1] {
 			return 0
 		}
 	}
@@ -284,15 +282,15 @@ func (inv *Inverted) writeSegment(w io.Writer, gen uint64) error {
 	}
 	crcs[segSecStreams] = s.endSection()
 
-	// blocks: the three columnar float arrays.
-	for _, col := range [3]func(BlockSlice) []float64{
-		func(b BlockSlice) []float64 { return b.MaxSF },
-		func(b BlockSlice) []float64 { return b.MaxSM },
-		func(b BlockSlice) []float64 { return b.MinSM },
+	// blocks: the three float arrays, each one field of every Block.
+	for _, field := range [3]func(Block) float64{
+		func(b Block) float64 { return b.MaxSF },
+		func(b Block) float64 { return b.MaxSM },
+		func(b Block) float64 { return b.MinSM },
 	} {
 		for i, e := range ents {
-			for _, v := range col(e.blocks)[:blkCount[i]] {
-				s.f64(v)
+			for _, b := range e.blocks[:blkCount[i]] {
+				s.f64(field(b))
 			}
 		}
 	}
@@ -557,15 +555,11 @@ func readSegment(data []byte, workers int) (*Inverted, error) {
 	n := l.n
 
 	a := &arena{
-		keys:     make([]string, n),
-		ents:     make([]Entry, n),
-		feats:    make([]media.FID, t.totalFeats),
-		posts:    make([]media.ObjectID, t.totalPosts),
-		blkMinID: make([]media.ObjectID, t.totalBlocks),
-		blkMaxID: make([]media.ObjectID, t.totalBlocks),
-		blkMaxSF: make([]float64, t.totalBlocks),
-		blkMaxSM: make([]float64, t.totalBlocks),
-		blkMinSM: make([]float64, t.totalBlocks),
+		keys:   make([]string, n),
+		ents:   make([]Entry, n),
+		feats:  make([]media.FID, t.totalFeats),
+		posts:  make([]media.ObjectID, t.totalPosts),
+		blocks: make([]Block, t.totalBlocks),
 	}
 
 	meta := l.section(data, segSecMeta)
@@ -594,12 +588,9 @@ func readSegment(data []byte, workers int) (*Inverted, error) {
 			bo, b1 := t.blkCnt[i], t.blkCnt[i+1]
 			for bi := 0; bi < b1-bo; bi++ {
 				plo := bi * BlockLen
-				phi := plo + BlockLen
-				if phi > len(pv) {
-					phi = len(pv)
-				}
-				a.blkMinID[bo+bi] = pv[plo]
-				a.blkMaxID[bo+bi] = pv[phi-1]
+				phi := min(plo+BlockLen, len(pv))
+				a.blocks[bo+bi].MinID = pv[plo]
+				a.blocks[bo+bi].MaxID = pv[phi-1]
 			}
 
 			gen := uint64(staleGen)
@@ -610,7 +601,7 @@ func readSegment(data []byte, workers int) (*Inverted, error) {
 				Feats:   fv,
 				CorS:    math.Float64frombits(binary.LittleEndian.Uint64(corsData[8*i:])),
 				Objects: pv,
-				blocks:  a.blockView(bo, b1),
+				blocks:  a.blocks[bo:b1:b1],
 				corsGen: gen,
 			}
 		}
@@ -619,15 +610,16 @@ func readSegment(data []byte, workers int) (*Inverted, error) {
 		return nil, firstErr
 	}
 
-	// The columnar float arrays decode independently of the entry loop.
+	// The three on-disk float arrays decode independently of the entry loop.
 	tb := t.totalBlocks
 	blk := l.section(data, segSecBlocks)
 	maxSF, maxSM, minSM := blk, blk[8*tb:], blk[16*tb:]
 	par.Range(tb, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			a.blkMaxSF[i] = math.Float64frombits(binary.LittleEndian.Uint64(maxSF[8*i:]))
-			a.blkMaxSM[i] = math.Float64frombits(binary.LittleEndian.Uint64(maxSM[8*i:]))
-			a.blkMinSM[i] = math.Float64frombits(binary.LittleEndian.Uint64(minSM[8*i:]))
+			b := &a.blocks[i]
+			b.MaxSF = math.Float64frombits(binary.LittleEndian.Uint64(maxSF[8*i:]))
+			b.MaxSM = math.Float64frombits(binary.LittleEndian.Uint64(maxSM[8*i:]))
+			b.MinSM = math.Float64frombits(binary.LittleEndian.Uint64(minSM[8*i:]))
 		}
 	})
 

@@ -71,12 +71,12 @@ func entriesEqual(t *testing.T, want, got *Inverted, wantGen, gotGen uint64) {
 		}
 		wb, wok := e.BlocksAt(wantGen)
 		gb, gok := le.BlocksAt(gotGen)
-		if wok != gok || wb.Len() != gb.Len() {
-			t.Fatalf("entry %v: blocks (%v,%d) vs (%v,%d)", e.Feats, gok, gb.Len(), wok, wb.Len())
+		if wok != gok || len(wb) != len(gb) {
+			t.Fatalf("entry %v: blocks (%v,%d) vs (%v,%d)", e.Feats, gok, len(gb), wok, len(wb))
 		}
-		for i := 0; i < wb.Len(); i++ {
-			if wb.Block(i) != gb.Block(i) {
-				t.Fatalf("entry %v block %d: %+v vs %+v", e.Feats, i, gb.Block(i), wb.Block(i))
+		for i := 0; i < len(wb); i++ {
+			if wb[i] != gb[i] {
+				t.Fatalf("entry %v block %d: %+v vs %+v", e.Feats, i, gb[i], wb[i])
 			}
 		}
 	}

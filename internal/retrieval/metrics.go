@@ -91,16 +91,14 @@ func (m *queryMetrics) finish(tr *obs.QueryTrace) {
 
 // SetMetrics attaches (or, with a nil registry, detaches) observability to
 // the engine: per-query stage instruments plus func gauges exposing the
-// hit/miss statistics of the model's cosine, CorS and smoothing memos. Not safe to call concurrently with searches;
-// attach at construction (retrieval.Config.Metrics) or server startup.
+// hit/miss statistics of the model's CorS and smoothing memos. Not safe to
+// call concurrently with searches; attach at construction (retrieval.Config.Metrics) or server startup.
 func (e *Engine) SetMetrics(reg *obs.Registry, slow *obs.SlowLog) {
 	e.metrics = newQueryMetrics(reg, slow)
 	if reg == nil {
 		return
 	}
 	model := e.Model
-	reg.Func("cache.cosine.hits", func() int64 { return int64(model.CacheStats().CosineHits) })
-	reg.Func("cache.cosine.misses", func() int64 { return int64(model.CacheStats().CosineMisses) })
 	reg.Func("cache.cors.hits", func() int64 { return int64(model.CacheStats().CorSHits) })
 	reg.Func("cache.cors.misses", func() int64 { return int64(model.CacheStats().CorSMisses) })
 	reg.Func("cache.smooth.hits", func() int64 { return int64(model.CacheStats().SmoothHits) })

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"figfusion/internal/index"
@@ -76,16 +77,16 @@ func blockBounds(dst []float64, cs *mrf.CliqueSet, ci int, entry *index.Entry, g
 	}
 	alpha := cs.ScoringParams().Alpha
 	wl := cs.WeightedLambda(ci)
-	for bi := 0; bi < blocks.Len(); bi++ {
-		sfTerm := (1 - alpha) * blocks.MaxSF[bi]
-		smMag := blocks.MaxSM[bi]
-		if -blocks.MinSM[bi] > smMag {
-			smMag = -blocks.MinSM[bi]
+	for _, b := range blocks {
+		sfTerm := (1 - alpha) * b.MaxSF
+		smMag := b.MaxSM
+		if -b.MinSM > smMag {
+			smMag = -b.MinSM
 		}
 		if smMag < 0 {
 			smMag = 0
 		}
-		u := wl*(sfTerm+alpha*blocks.MaxSM[bi]) + wl*(sfTerm+alpha*smMag)*boundSlack
+		u := wl*(sfTerm+alpha*b.MaxSM) + wl*(sfTerm+alpha*smMag)*boundSlack
 		dst = append(dst, u)
 	}
 	return dst
@@ -151,11 +152,10 @@ type lazyCursor struct {
 	corpus  *media.Corpus
 	exclude media.ObjectID
 	h       []lazyElem
-	ub      []float64        // per-block upper bounds; nil when summaries are stale
-	scored  [][]float64      // per-block potential memo, filled by materialize
-	slab    []float64        // backing store for scored, one slice per cursor
-	minIDs  []media.ObjectID // per-block first posting ID, from the summaries
-	maxIDs  []media.ObjectID // per-block last posting ID; random access searches this
+	ub      []float64     // per-block upper bounds; nil when summaries are stale
+	scored  [][]float64   // per-block potential memo, filled by materialize
+	slab    []float64     // backing store for scored, one slice per cursor
+	blocks  []index.Block // the entry's summaries; random access searches their ID ranges
 	nBlocks int
 	nMat    int
 	// filter is a 1024-bit membership filter over the posting IDs (bit
@@ -216,10 +216,7 @@ func (c *lazyCursor) materialize(bi int32) {
 	}
 	c.nMat++
 	lo := int(bi) * index.BlockLen
-	hi := lo + index.BlockLen
-	if hi > len(c.entry.Objects) {
-		hi = len(c.entry.Objects)
-	}
+	hi := min(lo+index.BlockLen, len(c.entry.Objects))
 	if c.slab == nil {
 		c.slab = make([]float64, len(c.entry.Objects))
 	}
@@ -271,9 +268,9 @@ func (c *lazyCursor) score(id media.ObjectID) float64 {
 		return 0
 	}
 	objs := c.entry.Objects
-	if c.maxIDs != nil {
+	if c.blocks != nil {
 		// Block-first random access: a hand-rolled binary search over
-		// the per-block max IDs — a tiny, cache-resident array — picks
+		// the blocks' MaxIDs — a small, cache-resident array — picks
 		// the one block that could hold the object, and the decision
 		// finishes inside it. Most TA random accesses miss (the object
 		// is not in this clique's list); they end right here, past the
@@ -282,63 +279,40 @@ func (c *lazyCursor) score(id media.ObjectID) float64 {
 		// is ≤ 0 also answers 0 without scoring: the bound dominates
 		// every potential inside it, so the eager path would have
 		// filtered the posting too.
-		bs := c.maxIDs
+		bs := c.blocks
 		lo, hi := 0, len(bs)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if bs[mid] < id {
+			if bs[mid].MaxID < id {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
 		bi := lo
-		if bi == len(bs) || id < c.minIDs[bi] {
+		if bi == len(bs) || id < bs[bi].MinID {
 			return 0
 		}
 		if c.ub[bi] <= 0 {
 			return 0
 		}
 		blo := bi * index.BlockLen
-		bhi := blo + index.BlockLen
-		if bhi > len(objs) {
-			bhi = len(objs)
-		}
-		lo, hi = blo, bhi
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if objs[mid] < id {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == bhi || objs[lo] != id {
+		j, ok := slices.BinarySearch(objs[blo:min(blo+index.BlockLen, len(objs))], id)
+		if !ok {
 			return 0
 		}
 		if memo := c.scored[bi]; memo != nil {
 			// The memoised value is the identical float the merge
 			// computed — returning it preserves byte-exactness.
-			if p := memo[lo-blo]; p > 0 {
+			if p := memo[j]; p > 0 {
 				return p
 			}
 			return 0
 		}
-	} else {
+	} else if _, ok := slices.BinarySearch(objs, id); !ok {
 		// Stale summaries: membership by binary search over the full
 		// posting list, the unpruned lookup.
-		lo, hi := 0, len(objs)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if objs[mid] < id {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(objs) || objs[lo] != id {
-			return 0
-		}
+		return 0
 	}
 	p := c.cs.PotentialScratch(c.shared.sc, c.ci, c.corpus.Object(id))
 	if p <= 0 {
@@ -391,10 +365,9 @@ func (e *Engine) searchTALazy(ctx context.Context, cs *mrf.CliqueSet, entries []
 			c.nBlocks = len(ub)
 			c.ub = ub
 			c.scored = make([][]float64, len(ub))
-			// The columnar summaries alias straight in as the cursor's
-			// random-access search arrays — no per-query copy.
-			blocks, _ := entry.BlocksAt(gen)
-			c.minIDs, c.maxIDs = blocks.MinID, blocks.MaxID
+			// The summaries alias straight in as the cursor's
+			// random-access search array — no per-query copy.
+			c.blocks, _ = entry.BlocksAt(gen)
 			for bi, u := range ub {
 				if u <= 0 {
 					continue

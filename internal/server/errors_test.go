@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"figfusion/internal/api"
@@ -61,6 +62,27 @@ func TestMethodNotAllowed(t *testing.T) {
 		if code := doJSON(t, s.Handler(), tc.method, tc.target, nil, nil); code != http.StatusMethodNotAllowed {
 			t.Errorf("%s %s: status = %d, want %d", tc.method, tc.target, code, http.StatusMethodNotAllowed)
 		}
+	}
+}
+
+// TestNonCanonicalPathsAnswerEnvelope: paths the mux would redirect to
+// their cleaned form ("." and ".." segments, doubled slashes) answer the
+// not_found JSON envelope, not a text/html 301, as does a trailing slash
+// (canonical, but no route); canonical route paths are still served.
+func TestNonCanonicalPathsAnswerEnvelope(t *testing.T) {
+	s, _ := testServer(t)
+	h := s.Handler()
+	for _, target := range []string{"/v1/objects/.", "/v1/objects/..", "/v1/./search", "/v1//search", "/v1/search/"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		var env api.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusNotFound ||
+			rec.Header().Get("Content-Type") != "application/json" || env.Error.Code != api.CodeNotFound {
+			t.Errorf("GET %s: %d %s %q, want 404 with the not_found envelope", target, rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
+		}
+	}
+	if code := doJSON(t, h, "GET", "/v1/objects/1", nil, nil); code != http.StatusOK {
+		t.Errorf("GET /v1/objects/1: status %d, want 200", code)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"path"
 	"runtime"
 	"strings"
 	"time"
@@ -54,7 +55,24 @@ type envelopeHandler struct {
 }
 
 func (e envelopeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// The mux would answer a path with a "." or ".." segment or a doubled
+	// slash with a text/html 301 to the cleaned path; no route is served
+	// under such a path, so it gets the not_found envelope instead.
+	if p := r.URL.Path; !canonical(p) {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, "no such route: path %q is not in canonical form", p)
+		return
+	}
 	e.next.ServeHTTP(&envelopeWriter{ResponseWriter: w}, r)
+}
+
+// canonical reports whether http.ServeMux would serve p as it is: p equals
+// its path.Clean form, a trailing slash kept.
+func canonical(p string) bool {
+	c := path.Clean(p)
+	if strings.HasSuffix(p, "/") && c != "/" {
+		c += "/"
+	}
+	return c == p
 }
 
 type envelopeWriter struct {

@@ -105,7 +105,6 @@ func testMetricsShape(t *testing.T, s *Server, shards uint64) {
 
 	// Scorer cache gauges are folded in as func gauges.
 	for _, name := range []string{
-		"cache.cosine.hits", "cache.cosine.misses",
 		"cache.cors.hits", "cache.cors.misses",
 		"cache.smooth.hits", "cache.smooth.misses",
 	} {

@@ -136,7 +136,7 @@ func TestRouterMetrics(t *testing.T) {
 		t.Errorf("retrieval.search.total = %d, want %d (each shard runs one sub-search)", got, searches*2)
 	}
 	// Cache gauges registered by the shared scorer are present and sane.
-	for _, name := range []string{"cache.cosine.hits", "cache.cosine.misses"} {
+	for _, name := range []string{"cache.cors.hits", "cache.cors.misses"} {
 		if _, ok := snap.Gauges[name]; !ok {
 			t.Errorf("gauge %s missing", name)
 		}
